@@ -7,8 +7,8 @@ Public surface:
 * :mod:`su3asym.series` / :mod:`su3asym.xpoly` — truncated formal power series
   over generic coefficient rings, and the polynomial coefficients used by the
   saddle pipeline.
-* :mod:`su3asym.special_functions` — arbitrary-precision complex Gamma and
-  Riemann zeta, generalized binomials, exact Bernoulli numbers.
+* :mod:`su3asym.special_functions` — pole-checked complex Gamma and Riemann
+  zeta over mpmath, exact Bernoulli numbers.
 * :mod:`su3asym.exact_counting` — big-integer counting of SU(3) weighted
   partitions (Euler-product DP) plus exact-rational oracles.
 * :mod:`su3asym.witten_zeta` — the double sum omega(s) = sum 1/(j^s k^s (j+k)^s):

@@ -42,14 +42,7 @@ from .exact_counting import EXACT_LIMIT, r_exact, r_exact_via_exp
 from .harness import compare_table, expansion_residual, log_G_direct, asymptotic_log_G
 from .precision import MIN_DIGITS, set_working_digits, working_digits
 from .saddle_expansion import MAX_C_ORDER, c_constants, constants
-from .witten_zeta import (
-    ContinuationCollisionError,
-    OmegaEvalConfig,
-    WittenZetaPoleError,
-    omega_result,
-    trivial_zeros,
-    verify_zeta_identity,
-)
+from .witten_zeta import WittenZetaPoleError, omega_result, trivial_zeros, verify_zeta_identity
 
 __all__ = ["main"]
 
@@ -137,13 +130,16 @@ def _cmd_rn(args) -> int:
 
 
 def _cmd_omega(args) -> int:
-    cfg = OmegaEvalConfig(M=args.M) if args.M is not None else None
     if args.verify_zeros is not None:
         k = args.verify_zeros
         if k < 1:
             print("error: --verify-zeros expects a positive count", file=sys.stderr)
             return 2
-        zeros = trivial_zeros(k, cfg)
+        try:
+            zeros = trivial_zeros(k, M=args.M)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         worst = mpf(0)
         for n, val in enumerate(zeros, start=1):
             mag = abs(val)
@@ -164,8 +160,8 @@ def _cmd_omega(args) -> int:
         return 2
     s = mpc(args.re, args.im) if args.im != 0 else args.re
     try:
-        res = omega_result(s, cfg, method=args.method)
-    except (WittenZetaPoleError, ContinuationCollisionError, ValueError) as exc:
+        res = omega_result(s, method=args.method, M=args.M)
+    except (WittenZetaPoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {

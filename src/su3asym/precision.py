@@ -6,18 +6,22 @@ controlled in three ways, in increasing priority:
 
 * the package default (60 digits),
 * the environment variable ``RN_PREC`` (read once at import time),
-* explicit calls to :func:`set_working_digits` / the :func:`local_digits`
-  context manager (used by the CLI ``--prec`` flag and by tests).
+* explicit calls to :func:`set_working_digits` (made by the CLI ``--prec``
+  flag).
 
-A floor of 30 digits is enforced: the algorithms in this package (Stirling
-tails, Euler-Maclaurin depths, contour steps) choose their internal truncation
-parameters from the digit count and are not tuned below that.
+A floor of 30 digits is enforced: the algorithms in this package
+(Euler-Maclaurin depths, contour steps, series guard digits) choose their
+internal truncation parameters from the digit count and are not tuned below
+that.
+
+The precision is mpmath's, and mpmath's precision is process-global: the
+package runs one computation per process at a time, and its caches (keyed by
+precision) take no locks.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 from mpmath import mp
 
@@ -48,22 +52,6 @@ def set_working_digits(digits: int) -> None:
 def working_digits() -> int:
     """Current global working precision in decimal digits."""
     return mp.dps
-
-
-@contextmanager
-def local_digits(digits: int):
-    """Context manager: temporarily run at ``digits`` decimal digits.
-
-    Unlike :func:`set_working_digits` this allows dropping below the public
-    floor, because internal routines legitimately evaluate coarse scouting
-    passes (e.g. magnitude estimates) at reduced precision.
-    """
-    saved = mp.dps
-    mp.dps = digits
-    try:
-        yield mp
-    finally:
-        mp.dps = saved
 
 
 # Apply the environment override once, at import time.

@@ -45,13 +45,13 @@ whose ingredients are computed symbolically to any order:
   moments  integral x^(2k) e^(-b x^2) dx = Gamma(k + 1/2) / b^(k + 1/2).
 
 All numbers are mpmath ``mpf``/``mpc`` values at the working precision of
-:mod:`su3asym.precision`; ladders are cached per (order, precision).
+:mod:`su3asym.precision`; ladders are cached per (order, precision) in
+plain dicts (one computation per process, see :mod:`su3asym.precision`).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -69,7 +69,6 @@ __all__ = [
     "saddle_series",
     "saddle_residual_max",
     "nu_coeff",
-    "nu_growth_fit",
     "laurent_main",
     "expansion_polys",
     "c_constants",
@@ -127,14 +126,12 @@ class LadderPolys:
 _CONSTANTS_CACHE: dict = {}
 _LADDER_CACHE: dict = {}
 _LAURENT_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def constants() -> ExpansionConstants:
     """All base constants at the current working precision."""
     prec = working_digits()
-    with _CACHE_LOCK:
-        hit = _CONSTANTS_CACHE.get(prec)
+    hit = _CONSTANTS_CACHE.get(prec)
     if hit is not None:
         return hit
     with mp.workdps(prec + 15):
@@ -151,8 +148,7 @@ def constants() -> ExpansionConstants:
         out = ExpansionConstants(
             X=+X, Y=+Y, A1=+A1, A2=+A2, A3=+A3, A4=+A4, A5=+A5, C0=+C0
         )
-    with _CACHE_LOCK:
-        _CONSTANTS_CACHE[prec] = out
+    _CONSTANTS_CACHE[prec] = out
     return out
 
 
@@ -249,24 +245,6 @@ def nu_coeff(m: int):
     return +out
 
 
-def nu_growth_fit(m_max: int = 30):
-    """Fit the smallest C with |nu_m| <= C^m m^(3m) for 1 <= m <= m_max.
-
-    Returns (C, implied), where implied[m-1] = (|nu_m| / m^(3m))^(1/m) and
-    C is their maximum; boundedness of the implied constants is the growth
-    property of the nu_m.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    prec = working_digits()
-    implied = []
-    with mp.workdps(prec + 15):
-        for m in range(1, m_max + 1):
-            ratio = abs(nu_coeff(m)) / mpf(m) ** (3 * m)
-            implied.append(+(ratio ** (mpf(1) / m)))
-    return max(implied), implied
-
-
 # -- Laurent expansion of the main term --------------------------------------------
 
 
@@ -303,8 +281,7 @@ def laurent_main(order: int) -> PowerSeries:
         raise ValueError("order must be a positive integer")
     prec = working_digits()
     key = (order, prec)
-    with _CACHE_LOCK:
-        hit = _LAURENT_CACHE.get(key)
+    hit = _LAURENT_CACHE.get(key)
     if hit is not None:
         return hit
     cst = constants()
@@ -339,8 +316,7 @@ def laurent_main(order: int) -> PowerSeries:
                     f"Laurent coefficient at z^{k} has degree {eff}, above the "
                     f"bound {(k + 4) // 2}; the expansion is inconsistent"
                 )
-    with _CACHE_LOCK:
-        _LAURENT_CACHE[key] = series
+    _LAURENT_CACHE[key] = series
     return series
 
 
@@ -377,8 +353,7 @@ def expansion_polys(M: int) -> LadderPolys:
         )
     prec = working_digits()
     key = (M, prec)
-    with _CACHE_LOCK:
-        hit = _LADDER_CACHE.get(key)
+    hit = _LADDER_CACHE.get(key)
     if hit is not None:
         return hit
     cst = constants()
@@ -418,8 +393,7 @@ def expansion_polys(M: int) -> LadderPolys:
             p3=tuple(_as_xpoly(ladder3.coeff(k)) for k in range(order)),
             p4=tuple(_as_xpoly(ladder4.coeff(k)) for k in range(order)),
         )
-    with _CACHE_LOCK:
-        _LADDER_CACHE[key] = out
+    _LADDER_CACHE[key] = out
     return out
 
 

@@ -10,18 +10,16 @@ actually known.  Valuations may be negative (Laurent tails), produced with
 Coefficients are generic: exact (``int``, ``Fraction``), floating
 (``mpf``/``mpc``/``float``/``complex``), or polynomial-valued
 (:class:`~su3asym.xpoly.XPolynomial`), as long as they support ring
-arithmetic, division by Python ints, and (for division/reversion pivots)
-scalar inversion.  Exact coefficient types stay exact through every operation
-here, including ``exp``/``log``/``pow_real``/``revert``.
+arithmetic, division by Python ints, and (for division pivots) scalar
+inversion.  Exact coefficient types stay exact through every operation here,
+including ``exp``/``log``/``pow_real``.
 
 The analytic operations follow the classical recurrences:
 
 * ``exp``:  E' = a' E, i.e.  n e_n = sum_{k=1..n} k a_k e_{n-k},
 * ``log``:  log a = integral of a'/a,
 * ``pow_real``:  (1+u)^alpha = sum_k binom(alpha, k) u^k  with the binomials
-  built incrementally (works for any scalar exponent, including non-real),
-* ``revert``: Newton iteration g <- g - (a(g) - x)/a'(g), doubling the number
-  of correct coefficients per step.
+  built incrementally (works for any scalar exponent, including non-real).
 """
 
 from __future__ import annotations
@@ -57,20 +55,6 @@ class PowerSeries:
     @staticmethod
     def constant(value, order: int):
         return PowerSeries([value] + [value * 0] * (order - 1), valuation=0, order=order)
-
-    @staticmethod
-    def from_polynomial(coeffs, order: int, valuation: int = 0):
-        """A polynomial viewed as a series truncated at ``order`` (zero-padded)."""
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("need at least one coefficient to infer the ring")
-        zero = coeffs[0] * 0
-        pad = order - valuation - len(coeffs)
-        if pad < 0:
-            coeffs = coeffs[: len(coeffs) + pad]
-        else:
-            coeffs = coeffs + [zero] * pad
-        return PowerSeries(coeffs, valuation, order)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -321,34 +305,6 @@ class PowerSeries:
         for k in range(self.order - 1, -1, -1):
             acc = (acc * b).truncate(order) + self._at(k)
         return acc.truncate(order)
-
-    def revert(self) -> "PowerSeries":
-        """Compositional inverse g with self(g(x)) = x.
-
-        Requires valuation exactly 1 and an invertible linear coefficient.
-        Newton iteration; each pass doubles the number of correct terms.
-        """
-        a = self.normalized()
-        if a.valuation != 1:
-            raise ValueError("reversion requires valuation exactly 1")
-        a1 = a.coeffs[0]
-        target = a.order
-        one = _ring_one(a1)
-        g = PowerSeries([one / a1], 1, 2)
-        m = 1  # g is correct through exponent m
-        while m < target - 1:
-            m2 = min(2 * m, target - 1)
-            order = m2 + 1
-            # reinterpret g at the enlarged order; the not-yet-computed terms are 0
-            pad = order - 1 - len(g.coeffs)
-            gk = PowerSeries(tuple(g.coeffs) + (one * 0,) * pad, 1, order)
-            num = a.truncate(order).compose(gk) - PowerSeries.identity(order, one)
-            # the residual has valuation m+1 analytically; drop the dust below it
-            num = num.drop_below(m + 1)
-            den = a.differentiate().compose(gk)
-            g = (gk - num / den).truncate(order)
-            m = m2
-        return g
 
     # -- display ---------------------------------------------------------------
 

@@ -1,35 +1,24 @@
-"""Arbitrary-precision complex Gamma and Riemann zeta, plus exact Bernoulli numbers.
+"""Pole-checked complex Gamma and Riemann zeta, plus exact Bernoulli numbers.
 
-These are implemented from scratch on top of mpmath *arithmetic* (mpf/mpc with
-controllable precision); mpmath's own ``gamma``/``zeta``/``bernfrac`` are used
-only as independent cross-checks in the test suite, never here.
+``gamma_complex`` and ``zeta_complex`` are thin wrappers over mpmath's
+``gamma`` and ``zeta`` at the working precision.  They add two things the
+rest of the package relies on:
 
-Algorithms
-----------
-* ``gamma_complex``: asymptotic Stirling series for log Gamma, with the
-  argument shifted right until Re(z) is large enough that the smallest
-  Stirling term (~ e^(-2 pi Re z)) is far below the target accuracy; the
-  shift is undone by dividing out the rising product.  For Re(s) < 1/2 the
-  reflection formula Gamma(s) Gamma(1-s) = pi / sin(pi s) is applied first.
-* ``zeta_complex``: Euler-Maclaurin summation
-  zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2
-            + sum_{r>=1} B_{2r}/(2r)! (s)_{2r-1} N^(-s-2r+1)
-  for Re(s) >= 1/2, with N and the correction depth chosen adaptively (N is
-  doubled and the sum restarted if the corrections stop shrinking before the
-  tolerance is met).  For Re(s) < 1/2 the functional equation
-  zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s) is used.
-* Bernoulli numbers: the exact rational recurrence
-  sum_{k=0}^{m} C(m+1, k) B_k = 0, cached as Fractions.
+* poles fail with the package's own exceptions: :class:`GammaPoleError` at
+  the nonpositive integers, :class:`ZetaPoleError` at s = 1;
+* the return type follows the input: real input (including a complex value
+  with zero imaginary part) gives ``mpf``, complex input gives ``mpc``.
 
-All public functions evaluate internally with guard digits and round the
-result to the working precision (or an explicit ``dps``).
+``bernoulli_fraction`` returns B_n exactly (B_1 = -1/2 convention) from
+mpmath's ``bernfrac``; ``bernoulli_mpf`` rounds it to the working precision.
+
+The only special-function kernel of the package's own is the fixed-point
+Euler-Maclaurin zeta along a vertical line in :mod:`su3asym.witten_zeta`,
+which the contour quadrature needs at hundreds of nodes per line.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-import warnings
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -39,10 +28,8 @@ __all__ = [
     "bernoulli_mpf",
     "gamma_complex",
     "zeta_complex",
-    "binom_general",
     "GammaPoleError",
     "ZetaPoleError",
-    "GammaUnderflowWarning",
 ]
 
 
@@ -54,67 +41,17 @@ class ZetaPoleError(ValueError):
     """zeta evaluated exactly at s = 1."""
 
 
-class GammaUnderflowWarning(RuntimeWarning):
-    """|Gamma(s)| fell below the representable-interest threshold; 0 returned."""
-
-
-# Magnitudes below 10^(-GAMMA_UNDERFLOW_LOG10) are reported as exact zero
-# (with a GammaUnderflowWarning).  mpmath exponents are big integers, so this
-# is a sanity policy for astronomically small values, not a float limitation.
-GAMMA_UNDERFLOW_LOG10 = 10**6
-
-
-# -- Bernoulli numbers (exact) -------------------------------------------------
-
-_BERN = [Fraction(1), Fraction(-1, 2)]
-_BERN_LOCK = threading.Lock()
-
-
 def bernoulli_fraction(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention) as a Fraction."""
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    if n >= len(_BERN):
-        with _BERN_LOCK:
-            while len(_BERN) <= n:
-                m = len(_BERN)
-                if m % 2 == 1:
-                    _BERN.append(Fraction(0))
-                    continue
-                acc = Fraction(0)
-                for k in range(m):
-                    if _BERN[k]:
-                        acc += math.comb(m + 1, k) * _BERN[k]
-                _BERN.append(-acc / (m + 1))
-    return _BERN[n]
+    return Fraction(*mp.bernfrac(n))
 
 
 def bernoulli_mpf(n: int) -> mpf:
     """B_n rounded to the current working precision."""
     b = bernoulli_fraction(n)
     return mpf(b.numerator) / mpf(b.denominator)
-
-
-# -- shared numeric helpers ------------------------------------------------------
-
-_LN_CACHE: dict[int, tuple[int, mpf]] = {}
-_LN_LOCK = threading.Lock()
-
-
-def _ln(n: int) -> mpf:
-    """ln n, cached and refreshed whenever more precision is requested."""
-    hit = _LN_CACHE.get(n)
-    if hit is not None and hit[0] >= mp.prec:
-        return hit[1]
-    with _LN_LOCK:
-        value = mp.ln(mpf(n))
-        _LN_CACHE[n] = (mp.prec, value)
-    return value
-
-
-def _npow(n: int, s) -> mpc:
-    """n^(-s) via exp(-s ln n) with the cached logarithm."""
-    return mp.exp(-s * _ln(n))
 
 
 def _to_mp(s):
@@ -130,222 +67,31 @@ def _to_mp(s):
     raise TypeError(f"unsupported numeric type {type(s)!r}")
 
 
-def _is_real(s) -> bool:
-    return not isinstance(s, (complex, mpc)) or (isinstance(s, mpc) and s.imag == 0) or (
-        isinstance(s, complex) and s.imag == 0.0
-    )
+def _real_if_possible(s):
+    """s as mpf when its imaginary part is exactly zero, else as mpc."""
+    sm = _to_mp(s)
+    return sm.real if isinstance(sm, mpc) and sm.imag == 0 else sm
 
 
-def _guard(wd: int, s) -> int:
-    try:
-        size = abs(complex(s))
-    except (TypeError, OverflowError):
-        size = 2.0
-    return wd + 12 + max(0, int(2 * math.log10(size + 2)))
-
-
-# -- Gamma --------------------------------------------------------------------
-
-
-def gamma_complex(s, dps: int | None = None):
-    """Gamma(s) for real or complex s, accurate to the working precision.
+def gamma_complex(s):
+    """Gamma(s) for real or complex s at the working precision.
 
     Returns mpf for real input, mpc otherwise.  Raises
     :class:`GammaPoleError` at exact nonpositive integers.
     """
-    wd = mp.dps if dps is None else dps
-    with mp.workdps(_guard(wd, s)):
-        sm = _to_mp(s)
-        if isinstance(sm, mpc) and sm.imag == 0:
-            sm = sm.real
-        if not isinstance(sm, mpc) and sm == mp.floor(sm) and sm <= 0:
-            raise GammaPoleError(f"Gamma pole at s = {sm}")
-        val = _gamma_core(sm)
-    with mp.workdps(wd):
-        return +val
+    sm = _real_if_possible(s)
+    if isinstance(sm, mpf) and sm <= 0 and sm == mp.floor(sm):
+        raise GammaPoleError(f"Gamma pole at s = {sm}")
+    return mp.gamma(sm)
 
 
-def loggamma_right(z):
-    """log Gamma(z) by the Stirling series for Re(z) >= 1 (principal branch up
-    to the shift region; used internally where only Re(z) >> 1 occurs)."""
-    target = max(24.0, mp.dps * 2.0 / 3.0)
-    shift = max(0, int(mp.ceil(target - _re(z))))
-    zs = z + shift
-    # Stirling asymptotic series at zs
-    acc = (zs - mpf(1) / 2) * mp.ln(zs) - zs + mp.ln(2 * mp.pi) / 2
-    tol = mpf(10) ** (-(mp.dps + 2))
-    zpow = 1 / zs
-    z2 = zpow * zpow
-    r = 1
-    prev = None
-    while True:
-        b = bernoulli_mpf(2 * r)
-        term = b / ((2 * r) * (2 * r - 1)) * zpow
-        acc += term
-        at = abs(term)
-        if at < tol * max(1, abs(acc)):
-            break
-        if prev is not None and at > prev:
-            raise ArithmeticError("Stirling series failed to converge (shift too small)")
-        prev = at
-        zpow *= z2
-        r += 1
-    # undo the shift: Gamma(z) = Gamma(z+shift) / (z (z+1) ... (z+shift-1))
-    for i in range(shift):
-        acc -= mp.ln(z + i)
-    return acc
+def zeta_complex(s):
+    """zeta(s) for real or complex s != 1 at the working precision.
 
-
-def _re(z):
-    return z.real if isinstance(z, mpc) else z
-
-
-def _gamma_core(s):
-    if _re(s) < mpf(1) / 2:
-        # reflection: Gamma(s) = pi / (sin(pi s) Gamma(1-s))
-        sin_pis = mp.sin(mp.pi * s)
-        if sin_pis == 0:
-            raise GammaPoleError(f"Gamma pole at s = {s}")
-        return mp.pi / (sin_pis * _gamma_core(1 - s))
-    lg = loggamma_right(s)
-    est_log10 = _re(lg) / mp.ln(10)
-    if est_log10 < -GAMMA_UNDERFLOW_LOG10:
-        warnings.warn(
-            f"|Gamma({s})| ~ 10^{mp.nstr(est_log10, 6)} below threshold; returning 0",
-            GammaUnderflowWarning,
-        )
-        return mpc(0) if isinstance(s, mpc) else mpf(0)
-    return mp.exp(lg)
-
-
-# -- Riemann zeta -----------------------------------------------------------------
-
-
-def zeta_complex(s, dps: int | None = None, force_branch: str | None = None):
-    """zeta(s) for real or complex s != 1, accurate to the working precision.
-
-    ``force_branch`` ("em" or "reflect") overrides the Re(s) = 1/2 branch cut
-    between direct Euler-Maclaurin summation and the functional equation;
-    it exists so tests can verify both routes agree across the seam.
-    Returns mpf for real input, mpc otherwise.
+    Returns mpf for real input, mpc otherwise.  Raises
+    :class:`ZetaPoleError` at s = 1.
     """
-    wd = mp.dps if dps is None else dps
-    guard = _guard(wd, s) + 8
-    with mp.workdps(guard):
-        sm = _to_mp(s)
-        if sm == 1:
-            raise ZetaPoleError("zeta pole at s = 1")
-        if isinstance(sm, mpc) and sm.imag == 0:
-            sm = sm.real
-        if not isinstance(sm, mpc) and sm < 0 and sm == mp.floor(sm) and mp.floor(sm) % 2 == 0:
-            return mpf(0)  # trivial zeros, exactly
-        # s = 0 must stay on the Euler-Maclaurin side: the reflection factor
-        # zeta(1 - s) is singular there, while Euler-Maclaurin is exact (the
-        # rising-factorial coefficient annihilates every correction term).
-        branch = force_branch or ("em" if (_re(sm) >= 0.5 or sm == 0) else "reflect")
-        if branch == "em":
-            val = _zeta_em(sm)
-        elif branch == "reflect":
-            val = _zeta_reflect(sm)
-        else:
-            raise ValueError(f"unknown branch {force_branch!r}")
-    with mp.workdps(wd):
-        return +val
-
-
-def _zeta_reflect(s):
-    # zeta(s) = 2^s pi^(s-1) sin(pi s / 2) Gamma(1-s) zeta(1-s)
-    return (
-        mp.power(2, s)
-        * mp.power(mp.pi, s - 1)
-        * mp.sin(mp.pi * s / 2)
-        * _gamma_core(1 - s)
-        * _zeta_em(1 - s)
-    )
-
-
-def _zeta_em(s):
-    """Euler-Maclaurin zeta for Re(s) >= 1/2 (any height)."""
-    tol = mpf(10) ** (-(mp.dps + 2))
-    im = abs(s.imag) if isinstance(s, mpc) else mpf(0)
-    N = max(int(mp.ceil(1.3 * mp.dps)), int(mp.ceil(0.30 * im)) + 8, 4)
-    for _ in range(8):
-        val = _zeta_em_at(s, N, tol)
-        if val is not None:
-            return val
-        N *= 2
-    raise ArithmeticError(f"Euler-Maclaurin zeta failed to converge for s = {s}")
-
-
-def _zeta_em_at(s, N, tol):
-    partial = mpf(0)
-    for n in range(1, N):
-        partial += _npow(n, s)
-    NmS = _npow(N, s)  # N^(-s)
-    acc = partial + mpf(N) * NmS / (s - 1) + NmS / 2
-    # correction terms: B_{2r}/(2r)! * (s)_{2r-1} * N^(-s-2r+1)
-    rising = s  # (s)_1
-    power = NmS * N  # N^(-s+1), so term_r uses power * N^(-2r)
-    N2 = mpf(N) ** (-2)
-    prev = None
-    scale = max(mpf(1), abs(acc))
-    for r in range(1, 400):
-        power *= N2
-        b = bernoulli_fraction(2 * r)
-        coeff = mpf(b.numerator) / (mpf(b.denominator) * mp.factorial(2 * r))
-        term = coeff * rising * power
-        acc += term
-        at = abs(term)
-        if at < tol * scale:
-            return acc
-        if prev is not None and at > prev:
-            return None  # diverging before tolerance: N too small
-        prev = at
-        rising *= (s + 2 * r - 1) * (s + 2 * r)
-    return None
-
-
-# -- generalized binomial ---------------------------------------------------------
-
-
-def binom_general(s, z):
-    """binom(s, z) = Gamma(s+1) / (Gamma(z+1) Gamma(s-z+1)) with pole handling.
-
-    * exact nonnegative-integer z: evaluated as the falling-factorial product
-      s(s-1)...(s-z+1)/z!, which is the limit value and is valid for every s;
-    * otherwise, poles of the denominator Gammas give 0; a pole of the
-      numerator alone is a genuine pole of the binomial and raises.
-    """
-    sm, zm = _to_mp(s), _to_mp(z)
-    if _is_exact_nonneg_int(zm):
-        k = int(_re(zm))
-        acc = mpf(1)
-        for i in range(k):
-            acc = acc * (sm - i)
-        return acc / mp.factorial(k)
-    num_pole = _is_exact_nonpos_int(sm + 1)
-    den_pole = _is_exact_nonpos_int(zm + 1) or _is_exact_nonpos_int(sm - zm + 1)
-    if num_pole and not den_pole:
-        raise GammaPoleError(f"binom({s}, {z}) has a numerator pole")
-    if den_pole and not num_pole:
-        return mpf(0)
-    if den_pole and num_pole:
-        raise GammaPoleError(
-            f"binom({s}, {z}) is an indeterminate pole/pole limit; "
-            "use an integer z to take the standard limit"
-        )
-    return gamma_complex(sm + 1) / (gamma_complex(zm + 1) * gamma_complex(sm - zm + 1))
-
-
-def _is_exact_nonneg_int(v) -> bool:
-    r = _re(v)
-    if isinstance(v, mpc) and v.imag != 0:
-        return False
-    return r >= 0 and r == mp.floor(r)
-
-
-def _is_exact_nonpos_int(v) -> bool:
-    r = _re(v)
-    if isinstance(v, mpc) and v.imag != 0:
-        return False
-    return r <= 0 and r == mp.floor(r)
+    sm = _real_if_possible(s)
+    if sm == 1:
+        raise ZetaPoleError("zeta pole at s = 1")
+    return mp.zeta(sm)

@@ -13,9 +13,9 @@ Two independent evaluation routes are provided and cross-checked:
   one-dimensional tails and the outer corner accelerated by Euler-Maclaurin
   corrections.  All tail integrals reduce to the incomplete-beta-type
   function G2(a; s, w) = integral over t in [a, oo) of t^(-s) (1+t)^(-w) dt,
-  evaluated by binomial series.  Valid for Re(s) >= ``direct_sigma_min``.
+  evaluated by binomial series.  Valid for Re(s) >= 1.1.
 
-* ``omega_continued`` -- the Mellin-Barnes continuation
+* the Mellin-Barnes continuation (``method="mb"``)
 
       omega(s) = Gamma(2s-1) Gamma(1-s) zeta(3s-1) / Gamma(s)
                + (1/Gamma(s)) * sum_{k=0}^{M-1} (-1)^k (Gamma(s+k)/k!)
@@ -31,12 +31,16 @@ Two independent evaluation routes are provided and cross-checked:
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
 zeta-value convolution identity equivalent to the trivial zeros.
+
+The one tunable is the contour shift ``M`` of the continuation, a keyword of
+``omega``, ``omega_result`` and ``trivial_zeros``; ``None`` picks it from
+Re(s).  Everything else (block size, Euler-Maclaurin depth, quadrature step
+and length) is fixed or derived from the working precision.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -44,8 +48,6 @@ from mpmath import mp, mpc, mpf
 from .precision import working_digits
 from .series import PowerSeries
 from .special_functions import (
-    _ln,
-    _npow,
     _to_mp,
     bernoulli_fraction,
     bernoulli_mpf,
@@ -54,14 +56,11 @@ from .special_functions import (
 )
 
 __all__ = [
-    "OmegaEvalConfig",
     "OmegaResult",
     "WittenZetaPoleError",
-    "ContinuationCollisionError",
     "omega",
     "omega_result",
     "omega_direct",
-    "omega_continued",
     "omega_residue",
     "verify_zeta_identity",
     "trivial_zeros",
@@ -72,57 +71,15 @@ class WittenZetaPoleError(ZeroDivisionError):
     """Raised when s lies within the guard neighbourhood of a pole of omega."""
 
 
-class ContinuationCollisionError(ValueError):
-    """Raised at removable singularities of the continuation formula.
-
-    At integer s individual factors (Gamma(1-s), zeta(s-k), zeta(2s+k),
-    Gamma(2s-1)) blow up even though omega itself is finite there.  With
-    ``auto_perturb`` disabled the evaluator refuses such points and asks the
-    caller to evaluate at a perturbed point instead.
-    """
-
-
-# -- configuration -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OmegaEvalConfig:
-    """Tuning knobs for the two omega evaluators.
-
-    M             contour shift of the continuation; None selects
-                  max(2, ceil(2*(3/4 - Re s)) + 2) automatically, nudged
-                  upward when the contour would pass too close to a pole of
-                  the integrand.  The strip condition
-                  3/4 - M/2 < Re(s) < M + 1/2 is enforced at evaluation time.
-    quad_step     upper bound for the trapezoid step; the effective step is
-                  min(quad_step, 2*pi*d / (ln 10 * (Dq + 4))) where d is the
-                  analyticity half-width of the integrand around the contour
-                  and Dq the quadrature digit target.
-    quad_tmax     hard truncation of the contour at |Im z| = quad_tmax; None
-                  selects it from the e^(-pi t) decay of the integrand and
-                  extends adaptively until the boundary values are below the
-                  truncation target.
-    direct_cutoff block size P of the direct evaluator: the lattice block
-                  j, k <= P is summed exactly and everything beyond it is
-                  covered by Euler-Maclaurin tail corrections.
-    direct_sigma_min  smallest Re(s) the direct evaluator accepts.
-    em_depth      number of Bernoulli correction terms in each
-                  Euler-Maclaurin tail.
-    auto_perturb  replace an exact removable-singularity input s by
-                  s + 10^-(prec/2 + 2) instead of raising
-                  ContinuationCollisionError.
-    """
-
-    M: int | None = None
-    quad_step: float = 0.25
-    quad_tmax: float | None = None
-    direct_cutoff: int = 128
-    direct_sigma_min: float = 1.1
-    em_depth: int = 12
-    auto_perturb: bool = True
-
-
-DEFAULT_CONFIG = OmegaEvalConfig()
+# Direct route: the lattice block j, k <= _DIRECT_P is summed exactly and
+# everything beyond it is covered by Euler-Maclaurin tails with _DIRECT_R
+# Bernoulli corrections each; it accepts Re(s) >= _DIRECT_SIGMA_MIN, which
+# is also where ``method="auto"`` switches from the continuation to it.
+_DIRECT_P = 128
+_DIRECT_R = 12
+_DIRECT_SIGMA_MIN = 1.1
+# Continuation: upper bound for the trapezoid step along the contour.
+_QUAD_STEP = 0.25
 
 POLE_NEIGHBORHOOD = mpf("1e-6")
 _COLLISION_NEIGHBORHOOD = mpf("1e-8")
@@ -142,6 +99,24 @@ class OmegaResult:
     value: object
     method: str
     est_error: object
+
+
+_LN_CACHE: dict[int, tuple[int, mpf]] = {}
+
+
+def _ln(n: int) -> mpf:
+    """ln n, cached and refreshed whenever more precision is requested."""
+    hit = _LN_CACHE.get(n)
+    if hit is not None and hit[0] >= mp.prec:
+        return hit[1]
+    value = mp.ln(mpf(n))
+    _LN_CACHE[n] = (mp.prec, value)
+    return value
+
+
+def _npow(n: int, s) -> mpc:
+    """n^(-s) via exp(-s ln n) with the cached logarithm."""
+    return mp.exp(-s * _ln(n))
 
 
 # -- pole bookkeeping -----------------------------------------------------------
@@ -275,28 +250,28 @@ def _g2_ladder(s, count, tol):
 # -- direct evaluation -----------------------------------------------------------
 
 
-def omega_direct(s, cfg: OmegaEvalConfig | None = None):
-    """omega(s) by the Euler-Maclaurin-accelerated lattice sum."""
-    return _direct_result(s, cfg or DEFAULT_CONFIG).value
+def omega_direct(s):
+    """omega(s) by the Euler-Maclaurin-accelerated lattice sum, Re(s) >= 1.1."""
+    return _direct_result(s).value
 
 
-def _direct_result(s, cfg: OmegaEvalConfig) -> OmegaResult:
+def _direct_result(s) -> OmegaResult:
     prec = working_digits()
     s0 = _to_mp(s)
     sigma = mp.re(s0)
-    if sigma < cfg.direct_sigma_min or sigma <= mpf(2) / 3 + mpf("1e-9"):
+    if sigma < _DIRECT_SIGMA_MIN:
         raise ValueError(
             f"Re(s) = {mp.nstr(sigma, 8)} is below the direct-summation "
-            f"threshold {cfg.direct_sigma_min}; use continuation"
+            f"threshold {_DIRECT_SIGMA_MIN}; use continuation"
         )
     guard = 10 + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
     wd = max(30, prec // 2 + 18) + guard
     with mp.workdps(wd):
-        value, est = _direct_eval(+s0, cfg)
+        value, est = _direct_eval(+s0)
     return OmegaResult(s=s0, s_evaluated=s0, value=+value, method="direct", est_error=+est)
 
 
-def _direct_eval(s, cfg: OmegaEvalConfig):
+def _direct_eval(s):
     """Worker for omega_direct at the current working precision.
 
     Splits the lattice into the exact block {j, k <= P}, two symmetric edge
@@ -304,12 +279,8 @@ def _direct_eval(s, cfg: OmegaEvalConfig):
     and the corner {j, k > P} handled by a second Euler-Maclaurin pass over j
     applied to the (analytic in j) inner tail formula.
     """
-    P = int(cfg.direct_cutoff)
-    R = int(cfg.em_depth)
-    if P < 8:
-        raise ValueError("direct_cutoff must be at least 8")
-    if R < 2 or R > 40:
-        raise ValueError("em_depth must lie in 2..40")
+    P = _DIRECT_P
+    R = _DIRECT_R
     if mp.im(s) == 0:
         s = mp.re(s)  # real arithmetic throughout
     one = s * 0 + 1
@@ -466,27 +437,21 @@ def _direct_eval(s, cfg: OmegaEvalConfig):
 # -- grid evaluators along vertical lines ----------------------------------------
 #
 # The trapezoid quadrature needs Gamma and zeta at hundreds of points
-# a0 + i k h along fixed vertical lines.  Both are evaluated with the same
-# algorithms as special_functions (Stirling series with argument shift;
-# Euler-Maclaurin with Bernoulli corrections), restructured in two ways that
-# make a thousand-node contour affordable at 30+ digits:
+# a0 + i k h along fixed vertical lines.  Gamma is mpmath's, node by node.
+# zeta is the package's own Euler-Maclaurin kernel, restructured in two ways
+# that make a thousand-node contour affordable at 30+ digits:
 #
-# * the n^(-i k h) phase factors of the Euler-Maclaurin partial sum advance
-#   multiplicatively from node to node instead of being re-exponentiated;
-# * the per-node work -- the power table and its partial sum, the
-#   Euler-Maclaurin corrections, the Stirling sum and the rising product that
-#   undoes the argument shift -- runs in fixed point: x + iy is the pair of
+# * the n^(-i k h) phase factors of the partial sum advance multiplicatively
+#   from node to node instead of being re-exponentiated;
+# * the per-node work -- the power table and its partial sum and the
+#   Euler-Maclaurin corrections -- runs in fixed point: x + iy is the pair of
 #   Python integers (x 2^W, y 2^W), truncated, with W = mp.prec + _FIX_GUARD.
-#   Products are integer multiply-and-shift.  Only ln and exp in the
-#   Stirling formula run on mpc.
+#   Products are integer multiply-and-shift.
 #
 # Fixed-point values carry an absolute error of a few units of 2^-W per
 # operation; the guard bits absorb the drift of 255 stepped nodes between
-# two resynchronisations of the power table.  ``>>`` and ``//`` round
-# towards minus infinity, so a negative value never truncates to zero: no
-# loop below waits for a value to become exactly zero.
+# two resynchronisations of the power table.
 
-_STIRLING_MAX = 64
 _FIX_GUARD = 20
 
 
@@ -500,67 +465,10 @@ def _unfix(re, im, W):
     return mpc(mp.ldexp(re, -W), mp.ldexp(im, -W))
 
 
-def _stirling_ratios(depth, W):
-    """c_(r+1) / c_r in fixed point for r = 1..depth-1, c_r = B_2r / (2r (2r-1)).
-
-    The Stirling terms are advanced by these ratios rather than formed as
-    c_r w^(1-2r): the powers of 1/w sink below 2^-W while c_r grows past 1.
-    """
-    c = [bernoulli_fraction(2 * r) / ((2 * r) * (2 * r - 1)) for r in range(1, depth + 1)]
-    ratios = [c[r + 1] / c[r] for r in range(depth - 1)]
-    return [(q.numerator << W) // q.denominator for q in ratios]
-
-
 def _gamma_line(a0, h, K, k0=0):
-    """[Gamma(a0 + i k h) for k = k0..K].
-
-    Shifts the argument right until Re >= max(24, 2*dps/3) using the product
-    Gamma(w) = Gamma(w + c) / (w (w+1) ... (w+c-1)) and applies the Stirling
-    series at the shifted point.  Safe whenever the line carries no pole of
-    Gamma, i.e. Re(a0) is not a nonpositive integer reached with Im = 0.
-    """
-    a0 = _to_mp(a0)
-    h = mpf(h)
-    target = max(24, (2 * mp.dps) // 3)
-    shift = max(0, int(math.ceil(target - mp.re(a0))))
-    W = mp.prec + _FIX_GUARD
-    one = 1 << W
-    tol2 = int(mp.ldexp(mpf(10) ** (-(mp.dps + 2)), W)) ** 2
-    ratios = _stirling_ratios(_STIRLING_MAX, W)
-    ln_two_pi_half = mp.ln(2 * mp.pi) / 2
-    half = mpf(1) / 2
-    ar, ai = _fix(a0, W)
-    hf = int(mp.ldexp(h, W))
-    out = []
-    for k in range(k0, K + 1):
-        xr, xi = ar, ai + k * hf  # w
-        wr = xr + shift * one  # ws = w + shift
-        # Stirling sum over r of c_r ws^(1-2r), starting from c_1 / ws = 1/(12 ws)
-        den = wr * wr + xi * xi
-        vr, vi = (wr << 2 * W) // den, (-xi << 2 * W) // den
-        v2r, v2i = (vr * vr - vi * vi) >> W, (2 * vr * vi) >> W
-        tr, ti = vr // 12, vi // 12
-        accr, acci = tr, ti
-        for rho in ratios:
-            if tr * tr + ti * ti < tol2:
-                break
-            tr, ti = (tr * v2r - ti * v2i) >> W, (tr * v2i + ti * v2r) >> W
-            tr, ti = (tr * rho) >> W, (ti * rho) >> W
-            accr += tr
-            acci += ti
-        else:
-            raise ArithmeticError("Stirling series did not converge; raise the shift target")
-        ws = _unfix(wr, xi, W)
-        lg = (ws - half) * mp.ln(ws) - ws + ln_two_pi_half + _unfix(accr, acci, W)
-        value = mp.exp(lg)
-        if shift:
-            pr, pi = xr, xi  # w (w+1) ... (w+shift-1)
-            for i in range(1, shift):
-                u = xr + i * one
-                pr, pi = (pr * u - pi * xi) >> W, (pr * xi + pi * u) >> W
-            value = value / _unfix(pr, pi, W)
-        out.append(value)
-    return out
+    """[Gamma(a0 + i k h) for k = k0..K]; the line must carry no pole of Gamma."""
+    step = mpc(0, h)
+    return [mp.gamma(a0 + k * step) for k in range(k0, K + 1)]
 
 
 def _zeta_line_em(a0, h, K, depth=13):
@@ -660,8 +568,9 @@ def _zeta_line(a0, h, K, depth=13):
     return out
 
 
+# Lines of Gamma(-z) keyed by (M, h, precision); a plain dict, like every
+# cache here (one computation per process, see su3asym.precision).
 _NEGZ_CACHE: dict = {}
-_NEGZ_LOCK = threading.Lock()
 
 
 def _gamma_negz_line(M, h, K):
@@ -671,25 +580,24 @@ def _gamma_negz_line(M, h, K):
     sin(pi z) = (-1)^(M+1) cosh(pi t) exactly on the half-integer line.
     """
     key = (M, float(h), mp.prec)
-    with _NEGZ_LOCK:
-        hit = _NEGZ_CACHE.get(key)
-        if hit is not None and len(hit) > K:
-            return hit[: K + 1]
-        c = M - mpf(1) / 2
-        start = 0 if hit is None else len(hit)
-        dens = _gamma_line(1 + c, h, K, k0=start)
-        values = list(hit) if hit is not None else []
-        sign = -mp.pi if M % 2 else mp.pi
-        e_pos = mp.exp(mp.pi * start * h)
-        e_neg = 1 / e_pos
-        e_step = mp.exp(mp.pi * h)
-        for k in range(start, K + 1):
-            cosh_t = (e_pos + e_neg) / 2
-            values.append(sign / (cosh_t * dens[k - start]))
-            e_pos *= e_step
-            e_neg /= e_step
-        _NEGZ_CACHE[key] = values
-        return values[: K + 1]
+    hit = _NEGZ_CACHE.get(key)
+    if hit is not None and len(hit) > K:
+        return hit[: K + 1]
+    c = M - mpf(1) / 2
+    start = 0 if hit is None else len(hit)
+    dens = _gamma_line(1 + c, h, K, k0=start)
+    values = list(hit) if hit is not None else []
+    sign = -mp.pi if M % 2 else mp.pi
+    e_pos = mp.exp(mp.pi * start * h)
+    e_neg = 1 / e_pos
+    e_step = mp.exp(mp.pi * h)
+    for k in range(start, K + 1):
+        cosh_t = (e_pos + e_neg) / 2
+        values.append(sign / (cosh_t * dens[k - start]))
+        e_pos *= e_step
+        e_neg /= e_step
+    _NEGZ_CACHE[key] = values
+    return values[: K + 1]
 
 
 # -- Mellin-Barnes continuation ---------------------------------------------------
@@ -713,7 +621,7 @@ def _strip_check(re_s: float, M: int) -> None:
         )
 
 
-def _mb_integral(s, M: int, cfg: OmegaEvalConfig, digit_target: int):
+def _mb_integral(s, M: int, digit_target: int):
     """(h/(2 pi)) * trapezoid sum of Gamma(s+z) Gamma(-z) zeta(2s+z) zeta(s-z)
     over the line z = (M - 1/2) + i t, plus a truncation/discretization error
     estimate.  Runs at the caller's working precision."""
@@ -726,18 +634,14 @@ def _mb_integral(s, M: int, cfg: OmegaEvalConfig, digit_target: int):
     d_use = 0.9 * d_eff
     if d_use <= 0.05:
         raise ValueError("contour passes too close to a pole of the integrand; increase M")
-    h = mpf(min(float(cfg.quad_step), 2 * math.pi * d_use / (math.log(10) * (digit_target + 4))))
-    if cfg.quad_tmax is not None:
-        t_max = float(cfg.quad_tmax)
-        adaptive = False
-    else:
-        # solve pi t = ln10 (Dq + 6) + growth * ln t for the e^(-pi t) decay
-        growth = max(2.0, re_s + 2.0)
-        t_max = 12.0
-        for _ in range(6):
-            t_max = (math.log(10) * (digit_target + 6) + growth * max(0.0, math.log(t_max))) / math.pi
-        t_max = max(6.0, t_max) + abs(im_s)
-        adaptive = True
+    h = mpf(min(_QUAD_STEP, 2 * math.pi * d_use / (math.log(10) * (digit_target + 4))))
+    # contour length: solve pi t = ln10 (Dq + 6) + growth * ln t for the
+    # e^(-pi t) decay, then extend until the boundary values meet the target
+    growth = max(2.0, re_s + 2.0)
+    t_max = 12.0
+    for _ in range(6):
+        t_max = (math.log(10) * (digit_target + 6) + growth * max(0.0, math.log(t_max))) / math.pi
+    t_max = max(6.0, t_max) + abs(im_s)
     real_s = im_s == 0 and isinstance(s, mpf)
     target_abs = mpf(10) ** (-(digit_target + 5))
     for _ in range(4):
@@ -771,7 +675,7 @@ def _mb_integral(s, M: int, cfg: OmegaEvalConfig, digit_target: int):
             for k in range(K + 1):
                 total += q_pos[k]
         est_trunc = tail_mag / math.pi
-        if not adaptive or est_trunc < target_abs:
+        if est_trunc < target_abs:
             break
         t_max *= 1.4
     value = h * total / (2 * mp.pi)
@@ -779,42 +683,33 @@ def _mb_integral(s, M: int, cfg: OmegaEvalConfig, digit_target: int):
     return value, est
 
 
-def omega_continued(s, cfg: OmegaEvalConfig | None = None):
-    """omega(s) by the Mellin-Barnes continuation."""
-    return _continued_result(s, cfg or DEFAULT_CONFIG).value
-
-
-def _continued_result(s, cfg: OmegaEvalConfig) -> OmegaResult:
+def _continued_result(s, M: int | None) -> OmegaResult:
     prec = working_digits()
     s0 = _to_mp(s)
     _pole_guard(s0)
     # removable singularities: every integer s collides with a pole of some
     # factor of the formula (Gamma(1-s) and zeta(s-k) at positive integers;
-    # Gamma(2s-1), zeta(2s+k) and the rising-factorial zeros at the rest)
+    # Gamma(2s-1), zeta(2s+k) and the rising-factorial zeros at the rest), so
+    # an integer s is evaluated at s + 10^-(prec/2 + 2) instead
     eps = mpf(0)
     bump = 0
     nearest = int(mp.nint(mp.re(s0)))
     dist = abs(s0 - nearest)
     if dist == 0:
-        if not cfg.auto_perturb:
-            raise ContinuationCollisionError(
-                f"s = {nearest} is a removable singularity of the continuation "
-                "formula: evaluate at perturbed point (or leave auto_perturb on, "
-                "which offsets s by 10^-(prec/2 + 2) automatically)"
-            )
         eps = mpf(10) ** (-(prec // 2 + 2))
         bump = prec // 2 + 9
     elif dist < _COLLISION_NEIGHBORHOOD:
         bump = int(-mp.log10(dist)) + 6
     re_s = float(mp.re(s0))
-    M = cfg.M if cfg.M is not None else _auto_M(re_s)
+    if M is None:
+        M = _auto_M(re_s)
     _strip_check(re_s, M)
     digit_target = max(10, -(-prec // 3))
     finite_dps = prec + 15 + bump + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
     quad_dps = digit_target + 14
     with mp.workdps(quad_dps):
         s_quad = +s0 + eps
-        integral, integral_est = _mb_integral(s_quad, M, cfg, digit_target)
+        integral, integral_est = _mb_integral(s_quad, M, digit_target)
     with mp.workdps(finite_dps):
         s_ev = +s0 + eps
         first = (
@@ -843,22 +738,26 @@ def _continued_result(s, cfg: OmegaEvalConfig) -> OmegaResult:
 # -- dispatcher and friends -------------------------------------------------------
 
 
-def omega(s, cfg: OmegaEvalConfig | None = None, method: str = "auto"):
-    """omega(s) by the method of choice ("auto", "direct", or "mb")."""
-    return omega_result(s, cfg, method).value
+def omega(s, method: str = "auto", *, M: int | None = None):
+    """omega(s) by the method of choice ("auto", "direct", or "mb").
+
+    ``M`` is the contour shift of the continuation, which must satisfy
+    3/4 - M/2 < Re(s) < M + 1/2; None picks it from Re(s).  The direct
+    route has no shift and ignores it.
+    """
+    return omega_result(s, method, M=M).value
 
 
-def omega_result(s, cfg: OmegaEvalConfig | None = None, method: str = "auto") -> OmegaResult:
+def omega_result(s, method: str = "auto", *, M: int | None = None) -> OmegaResult:
     """Like omega() but returns the OmegaResult with metadata."""
-    cfg = cfg or DEFAULT_CONFIG
     s0 = _to_mp(s)
     _pole_guard(s0)
     if method == "auto":
-        method = "direct" if mp.re(s0) >= cfg.direct_sigma_min else "mb"
+        method = "direct" if mp.re(s0) >= _DIRECT_SIGMA_MIN else "mb"
     if method == "direct":
-        return _direct_result(s0, cfg)
+        return _direct_result(s0)
     if method == "mb":
-        return _continued_result(s0, cfg)
+        return _continued_result(s0, M)
     raise ValueError(f"unknown method {method!r}; expected auto, direct, or mb")
 
 
@@ -918,6 +817,9 @@ def verify_zeta_identity(n: int):
     return +residual
 
 
-def trivial_zeros(count: int, cfg: OmegaEvalConfig | None = None):
-    """[|omega(-n)| for n = 1..count]; each should vanish to working accuracy."""
-    return [abs(omega(-n, cfg=cfg)) for n in range(1, count + 1)]
+def trivial_zeros(count: int, *, M: int | None = None):
+    """[|omega(-n)| for n = 1..count]; each should vanish to working accuracy.
+
+    ``M`` is passed to :func:`omega` for every n; None picks it per point.
+    """
+    return [abs(omega(-n, M=M)) for n in range(1, count + 1)]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from su3asym.cli import main
+from su3asym.witten_zeta import omega_result
 
 
 def run(capsys, *argv):
@@ -58,6 +59,27 @@ def test_omega_verify_zeros(capsys):
     rc, out, _ = run(capsys, "omega", "--verify-zeros", "1")
     assert rc == 0
     assert "omega(-1)" in out
+
+
+def test_omega_verify_zeros_rejects_shift_outside_strip(capsys):
+    # M = 2 covers 3/4 - M/2 = -1/4 < Re(s) only, so omega(-1) is out of reach
+    rc, out, err = run(capsys, "omega", "--verify-zeros", "3", "--M", "2")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: continuation shift M = 2")
+
+
+def test_omega_mb_with_explicit_shift(capsys):
+    # the README line: the continuation at an overlap-strip point with M = 4
+    rc, out, _ = run(capsys, "omega", "--re", "1.3", "--im", "1", "--method", "mb", "--M", "4")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["method"] == "mb"
+    mp.dps = 60
+    s = mpc("1.3", "1")
+    value = mpc(*(mpf(x) for x in payload["value"]))
+    direct = omega_result(s, method="direct")
+    assert abs(value - direct.value) <= mpf(payload["est_error"]) + direct.est_error
 
 
 def test_constants_json(capsys):

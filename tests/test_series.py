@@ -28,7 +28,7 @@ def test_constructor_semantics():
 
 def test_mul_matches_hand_expansion():
     # (1 + x)^2 = 1 + 2x + x^2
-    one_plus_x = PowerSeries.from_polynomial([mpf(1), mpf(1)], 5)
+    one_plus_x = PowerSeries([mpf(1), mpf(1)] + [mpf(0)] * 3, 0, 5)
     sq = one_plus_x * one_plus_x
     assert [sq.coeff(k) for k in range(3)] == [1, 2, 1]
     assert all(sq.coeff(k) == 0 for k in range(3, sq.order))
@@ -36,8 +36,8 @@ def test_mul_matches_hand_expansion():
 
 def test_mul_valuation_and_order_tracking():
     # x^2 * x^3 = x^5; truncation order of a product is limited by both factors
-    a = PowerSeries.from_polynomial([mpf(1)], 6, valuation=2)
-    b = PowerSeries.from_polynomial([mpf(1)], 7, valuation=3)
+    a = PowerSeries([mpf(1)] + [mpf(0)] * 3, 2, 6)
+    b = PowerSeries([mpf(1)] + [mpf(0)] * 3, 3, 7)
     prod = a * b
     assert prod.coeff(5) == 1
     assert prod.order <= min(a.order + b.valuation, b.order + a.valuation)
@@ -45,7 +45,7 @@ def test_mul_valuation_and_order_tracking():
 
 def test_division_geometric_series():
     one = PowerSeries.constant(mpf(1), 10)
-    one_minus_x = PowerSeries.from_polynomial([mpf(1), mpf(-1)], 10)
+    one_minus_x = PowerSeries([mpf(1), mpf(-1)] + [mpf(0)] * 8, 0, 10)
     geo = one / one_minus_x
     assert all(abs(geo.coeff(k) - 1) < mpf("1e-55") for k in range(10))
 
@@ -69,7 +69,7 @@ def test_exp_requires_zero_constant_term():
 
 
 def test_log_exp_roundtrip():
-    f = PowerSeries.from_polynomial([mpf(0), mpf(1), mpf(0), mpf(3)], 12)
+    f = PowerSeries([mpf(0), mpf(1), mpf(0), mpf(3)] + [mpf(0)] * 8, 0, 12)
     g = f.exp().log()
     for k in range(12):
         assert abs(g.coeff(k) - f.coeff(k)) < mpf("1e-50")
@@ -77,12 +77,12 @@ def test_log_exp_roundtrip():
 
 def test_log_requires_unit_constant_term():
     with pytest.raises(ValueError):
-        PowerSeries.from_polynomial([mpf(2), mpf(1)], 5).log()
+        PowerSeries([mpf(2), mpf(1)] + [mpf(0)] * 3, 0, 5).log()
 
 
 def test_pow_real_binomial_series():
     # (1 + x)^(1/2): coefficients are the generalized binomials C(1/2, k)
-    one_plus_x = PowerSeries.from_polynomial([mpf(1), mpf(1)], 8)
+    one_plus_x = PowerSeries([mpf(1), mpf(1)] + [mpf(0)] * 6, 0, 8)
     h = one_plus_x.pow_real(mpf(1) / 2)
     expected = [mpf(1), mpf("0.5"), mpf(-1) / 8, mpf(1) / 16, mpf(-5) / 128]
     for k, want in enumerate(expected):
@@ -105,21 +105,12 @@ def test_differentiate_integrate_roundtrip():
 def test_compose_substitutes_inner_series():
     # exp(x) composed with 2x^2 = exp(2x^2): coefficient of x^(2k) is 2^k / k!
     outer = mpf_identity(10).exp()
-    inner = PowerSeries.from_polynomial([mpf(2)], 10, valuation=2)
+    inner = PowerSeries([mpf(2)] + [mpf(0)] * 7, 2, 10)
     comp = outer.compose(inner)
     for k in range(5):
         assert abs(comp.coeff(2 * k) - mpf(2) ** k / math.factorial(k)) < mpf("1e-50")
         if 2 * k + 1 < comp.order:
             assert abs(comp.coeff(2 * k + 1)) < mpf("1e-50")
-
-
-def test_revert_is_compositional_inverse():
-    f = PowerSeries.from_polynomial([mpf(0), mpf(1), mpf(1)], 9)  # x + x^2
-    g = f.revert()
-    ident = f.compose(g)
-    assert abs(ident.coeff(1) - 1) < mpf("1e-50")
-    for k in range(2, ident.order):
-        assert abs(ident.coeff(k)) < mpf("1e-50")
 
 
 def test_drop_below_and_truncate():
@@ -162,8 +153,8 @@ def test_series_over_xpoly_ring():
     # (1 + i x z)(1 - i x z) = 1 + x^2 z^2 in the mixed polynomial/series ring
     ix = XPolynomial([mpf(0), mpc(0, 1)])
     one = XPolynomial([mpf(1)])
-    f = PowerSeries.from_polynomial([one, ix], 4)
-    g = PowerSeries.from_polynomial([one, -ix], 4)
+    f = PowerSeries([one, ix, one * 0, one * 0], 0, 4)
+    g = PowerSeries([one, -ix, one * 0, one * 0], 0, 4)
     prod = f * g
     assert prod.coeff(0).coeff(0) == 1
     assert prod.coeff(1).is_zero()
@@ -175,7 +166,7 @@ def test_series_over_xpoly_ring():
 def test_series_exp_over_xpoly_ring_keeps_polynomial_coeffs():
     # exp(x z): z^k coefficient is x^k / k!, an XPolynomial of degree k
     x = XPolynomial([mpf(0), mpf(1)])
-    f = PowerSeries.from_polynomial([x], 6, valuation=1)
+    f = PowerSeries([x] + [x * 0] * 4, 1, 6)
     e = f.exp()
     for k in range(6):
         ck = e.coeff(k)

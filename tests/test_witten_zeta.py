@@ -7,8 +7,6 @@ from mpmath import mp, mpf, mpc
 
 from su3asym.special_functions import gamma_complex, zeta_complex
 from su3asym.witten_zeta import (
-    ContinuationCollisionError,
-    OmegaEvalConfig,
     WittenZetaPoleError,
     omega,
     omega_direct,
@@ -25,8 +23,13 @@ mp.dps = 60
 def test_direct_closed_form_values():
     # omega(2) = pi^6 / 2835 and omega(1) = 2 zeta(3) are classical
     assert abs(omega_direct(2) - mp.pi**6 / 2835) < mpf("1e-50")
-    slow = OmegaEvalConfig(direct_sigma_min=0.9)  # s = 1 converges, just slowly
-    assert abs(omega_direct(1, slow) - 2 * mp.zeta(3)) < mpf("1e-48")
+    # s = 1 lies below the direct route's threshold Re(s) >= 1.1: the
+    # continuation covers it, within its own error estimate
+    res = omega_result(1)
+    assert res.method == "mb"
+    assert abs(res.value - 2 * mp.zeta(3)) <= res.est_error
+    with pytest.raises(ValueError):
+        omega_direct(1)
 
 
 def test_direct_vs_continuation_real_point():
@@ -45,7 +48,7 @@ def test_direct_vs_continuation_complex_point():
 
 def test_continuation_term_count_independence():
     s = mpf("0.8")
-    vals = [omega(s, OmegaEvalConfig(M=M), method="mb") for M in (2, 3, 4)]
+    vals = [omega(s, method="mb", M=M) for M in (2, 3, 4)]
     assert abs(vals[0] - vals[1]) < mpf("1e-24")
     assert abs(vals[1] - vals[2]) < mpf("1e-24")
 
@@ -75,11 +78,6 @@ def test_integer_point_collision_is_perturbed_away():
     v_mb = omega(mpf(2), method="mb")
     v_direct = omega(mpf(2), method="direct")
     assert abs(v_mb - v_direct) < mpf("1e-18")
-
-
-def test_integer_point_collision_raises_when_not_allowed():
-    with pytest.raises(ContinuationCollisionError):
-        omega(mpf(2), OmegaEvalConfig(auto_perturb=False), method="mb")
 
 
 def test_method_auto_dispatch():
@@ -132,12 +130,13 @@ def test_result_metadata():
 
 # -- the line evaluators behind the contour quadrature ---------------------------
 #
-# _zeta_line and _gamma_line run their per-node arithmetic in fixed point and
-# advance the Euler-Maclaurin power table from node to node, recomputing it
-# every 256 nodes.  Each line is pinned against pointwise zeta_complex /
-# gamma_complex (evaluated with 10 extra digits) at its first node, at the
-# last stepped node before the recomputation (255), at the first two nodes
-# after it (256, 257) and at its last node.
+# _zeta_line runs its per-node arithmetic in fixed point and advances the
+# Euler-Maclaurin power table from node to node, recomputing it every 256
+# nodes; _gamma_line evaluates Gamma node by node.  Each line is pinned
+# against pointwise zeta_complex / gamma_complex (evaluated with 10 extra
+# digits) at its first node, at the last stepped node before the
+# recomputation (255), at the first two nodes after it (256, 257) and at its
+# last node.
 
 LINE_NODES = (0, 255, 256, 257, 300)
 
@@ -203,8 +202,7 @@ def test_zeta_line_reflected_branch_matches_pointwise(dps):
 @pytest.mark.parametrize("dps", [34, 60])
 @pytest.mark.parametrize("a0", [mpc("3.1", "-2.0"), mpc("-2.5", "0.3"), mpc("5.5", "0")])
 def test_gamma_line_matches_pointwise(dps, a0):
-    # exp of a log-Gamma of size ~100 leaves about two digits of the working
-    # precision to rounding
+    # node k of the line is a0 + i k h, at the working precision
     mp.dps = dps
     h = mpf("0.0511")
     values = _gamma_line(a0, h, LINE_NODES[-1])
