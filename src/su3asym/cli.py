@@ -221,9 +221,17 @@ def _cmd_compare(args) -> int:
     for row in table.rows:
         fit = table.fitted_exponent.get(row.L)
         fit_str = "" if fit is None else f"{fit!r}"
+        counted = (row.log_r_exact, row.ratio, row.residual_scaled)
+        if row.n > EXACT_LIMIT:
+            # float64 count: log r(n) holds 15 significant digits, and the
+            # ratio and residual (both of order 1) share its absolute error,
+            # so all three stop at its last justified decimal place
+            places = 14 - int(mp.floor(mp.log10(row.log_r_exact)))
+            log_r, ratio, resid = (f"{float(x):.{places}f}" for x in counted)
+        else:
+            log_r, ratio, resid = (_nstr(x) for x in counted)
         out.write(
-            f"{row.n},{row.L},{_nstr(row.log_r_exact)},{_nstr(row.log_r_asym)},"
-            f"{_nstr(row.ratio)},{_nstr(row.residual_scaled)},{fit_str}\n"
+            f"{row.n},{row.L},{log_r},{_nstr(row.log_r_asym)},{ratio},{resid},{fit_str}\n"
         )
     return 0
 

@@ -101,16 +101,19 @@ class OmegaResult:
     est_error: object
 
 
-_LN_CACHE: dict[int, tuple[int, mpf]] = {}
+_LN_CACHE: dict[tuple[int, int], mpf] = {}
 
 
 def _ln(n: int) -> mpf:
-    """ln n, cached and refreshed whenever more precision is requested."""
-    hit = _LN_CACHE.get(n)
-    if hit is not None and hit[0] >= mp.prec:
-        return hit[1]
-    value = mp.ln(mpf(n))
-    _LN_CACHE[n] = (mp.prec, value)
+    """ln n at the working precision, cached per (n, precision).
+
+    Keying by precision keeps results independent of call history: a value
+    computed at a higher precision is never handed back unrounded.
+    """
+    key = (n, mp.prec)
+    value = _LN_CACHE.get(key)
+    if value is None:
+        value = _LN_CACHE[key] = mp.ln(mpf(n))
     return value
 
 

@@ -99,6 +99,27 @@ def test_compare_csv(capsys):
     assert len(lines) == 7  # header + 3 n values x 2 L values
 
 
+def _significant_digits(text):
+    return len(text.lstrip("-").replace(".", "").lstrip("0"))
+
+
+def test_compare_beyond_exact_cap_prints_float_digits_only(capsys):
+    rc, out, _ = run(
+        capsys, "compare", "--n", "60000", "--terms", "1", "--approx-beyond-exact"
+    )
+    assert rc == 0
+    header, *rows = out.strip().splitlines()
+    cols = header.split(",")
+    assert len(rows) == 2
+    for line in rows:
+        row = dict(zip(cols, line.split(",")))
+        for name in ("log_r_exact", "ratio", "residual_scaled"):
+            assert _significant_digits(row[name]) <= 15, (name, row[name])
+    last = dict(zip(cols, rows[-1].split(",")))
+    assert last["L"] == "1"
+    assert abs(mpf(last["ratio"]) - 1) < mpf("0.05")
+
+
 def test_residual_json(capsys):
     rc, out, _ = run(capsys, "residual", "--z", "0.1", "--eta", "1.25")
     assert rc == 0

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from su3asym.exact_counting import (
@@ -73,13 +77,50 @@ def test_growth_bracket_observed():
     assert samples[0] < samples[1] < samples[2]
 
 
+def per_residue_float64_counts(limit):
+    """Reference float64 DP: one cumsum per residue class mod d, per factor."""
+    a = np.zeros(limit + 1, dtype=np.float64)
+    a[0] = 1.0
+    for d, mult in su3_parts(limit):
+        for _ in range(mult):
+            for res in range(d):
+                sl = a[res::d]
+                np.cumsum(sl, out=sl)
+    return a
+
+
+def max_relative_log_error(logs, exact):
+    """max over n >= 1 of |logs[n] - log r(n)| / max(|log r(n)|, 1)."""
+    worst = 0.0
+    for n in range(1, len(exact)):
+        want = math.log(exact[n])
+        worst = max(worst, abs(float(logs[n]) - want) / max(abs(want), 1.0))
+    return worst
+
+
+def test_log_r_float64_bit_identical_to_per_residue_sweep():
+    with np.errstate(divide="ignore"):
+        want = np.log(per_residue_float64_counts(1000))
+    assert np.array_equal(log_r_float64(1000), want)
+
+
 def test_log_r_float64_tracks_exact():
-    vals = r_exact(2000)
-    logs = log_r_float64(2000)
-    mp.dps = 30
-    for n in (10, 100, 1000, 2000):
-        want = mp.log(mpf(vals[n]))
-        assert abs(mpf(logs[n]) - want) / max(1, abs(want)) < mpf("1e-9")
+    assert max_relative_log_error(log_r_float64(3000), r_exact(3000)) < 1e-13
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2])
+def test_log_r_float64_edge_limits(limit):
+    logs = log_r_float64(limit)
+    assert logs.dtype == np.float64
+    assert logs.tolist() == [0.0] * (limit + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=600))
+def test_log_r_float64_matches_exact_property(limit):
+    logs = log_r_float64(limit)
+    assert len(logs) == limit + 1
+    assert max_relative_log_error(logs, r_exact(limit)) < 1e-13
 
 
 def test_euler_product_coeffs_single_part():

@@ -15,6 +15,7 @@ from su3asym.witten_zeta import (
     trivial_zeros,
     verify_zeta_identity,
 )
+from su3asym import witten_zeta
 from su3asym.witten_zeta import _gamma_line, _zeta_line
 
 mp.dps = 60
@@ -30,6 +31,19 @@ def test_direct_closed_form_values():
     assert abs(res.value - 2 * mp.zeta(3)) <= res.est_error
     with pytest.raises(ValueError):
         omega_direct(1)
+
+
+def test_direct_value_independent_of_call_history(monkeypatch):
+    # A higher-precision evaluation in between must not change the last
+    # digits of a later one: cached logarithms are kept per precision.
+    monkeypatch.setattr(witten_zeta, "_LN_CACHE", {})
+    s = mpc("1.5", "2")
+    mp.dps = 60
+    fresh = omega_direct(s)
+    mp.dps = 100
+    omega_direct(s)
+    mp.dps = 60
+    assert omega_direct(s) == fresh
 
 
 def test_direct_vs_continuation_real_point():
