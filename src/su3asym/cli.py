@@ -27,7 +27,10 @@ Subcommands
 
 All numerical output is produced at the current working precision (default
 60 significant digits; override with the RN_PREC environment variable or the
-per-command ``--prec`` flag).
+per-command ``--prec`` flag).  Argument parsing only checks that numbers
+parse; each command converts them to mpf/mpc after ``main`` has set the
+precision, so every digit given on the command line is kept.  Library errors
+(``ValueError`` and poles of omega) print ``error: ...`` and exit with 2.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ import sys
 from mpmath import mp, mpc, mpf
 
 from .exact_counting import EXACT_LIMIT, r_exact, r_exact_via_exp
-from .harness import compare_table, expansion_residual, log_G_direct, asymptotic_log_G
+from .harness import compare_table, log_G_direct, asymptotic_log_G
 from .precision import MIN_DIGITS, set_working_digits, working_digits
-from .saddle_expansion import MAX_C_ORDER, c_constants, constants
+from .saddle_expansion import c_constants, constants
 from .witten_zeta import WittenZetaPoleError, omega_result, trivial_zeros, verify_zeta_identity
 
 __all__ = ["main"]
@@ -59,24 +62,37 @@ def _nstr(x, digits=None):
     return mp.nstr(x, digits)
 
 
-def _parse_real(text: str) -> mpf:
+def _real(text: str) -> mpf:
     try:
         return mpf(text)
-    except Exception as exc:  # mpmath raises bare ValueError on bad input
-        raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
+    except ValueError as exc:
+        raise ValueError(f"not a real number: {text!r}") from exc
 
 
-def _parse_point(text: str):
-    """Parse 'RE' or 'RE,IM' into an mpf/mpc at the current precision."""
+def _point(text: str):
+    """'RE' or 'RE,IM' as an mpf/mpc at the current precision."""
     parts = text.split(",")
     if len(parts) == 1:
-        return _parse_real(parts[0])
+        return _real(parts[0])
     if len(parts) == 2:
-        re, im = _parse_real(parts[0]), _parse_real(parts[1])
+        re, im = _real(parts[0]), _real(parts[1])
         if im == 0:
             return re
         return mpc(re, im)
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    raise ValueError(f"expected RE or RE,IM, got {text!r}")
+
+
+def _parses_as(convert):
+    """argparse type that checks ``convert`` accepts the text and keeps the text."""
+
+    def check(text: str) -> str:
+        try:
+            convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return text
+
+    return check
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -100,12 +116,6 @@ def _complex_pair(z) -> list[str]:
 
 def _cmd_rn(args) -> int:
     n_max = args.max
-    if n_max < 0:
-        print("error: --max must be >= 0", file=sys.stderr)
-        return 2
-    if n_max > EXACT_LIMIT:
-        print(f"error: --max exceeds the exact-counting cap {EXACT_LIMIT}", file=sys.stderr)
-        return 2
     values = r_exact(n_max)
     if args.oracle_check:
         k = min(n_max, _ORACLE_CHECK_CAP)
@@ -132,14 +142,7 @@ def _cmd_rn(args) -> int:
 def _cmd_omega(args) -> int:
     if args.verify_zeros is not None:
         k = args.verify_zeros
-        if k < 1:
-            print("error: --verify-zeros expects a positive count", file=sys.stderr)
-            return 2
-        try:
-            zeros = trivial_zeros(k, M=args.M)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        zeros = trivial_zeros(k, M=args.M)
         worst = mpf(0)
         for n, val in enumerate(zeros, start=1):
             mag = abs(val)
@@ -149,21 +152,15 @@ def _cmd_omega(args) -> int:
         return 0
     if args.verify_identity is not None:
         n = args.verify_identity
-        if n < 1:
-            print("error: --verify-identity expects a positive integer", file=sys.stderr)
-            return 2
         residual = verify_zeta_identity(n)
         print(f"even-argument identity at n={n}: relative residual = {_nstr(residual, 6)}")
         return 0
     if args.re is None:
         print("error: provide --re (with optional --im), or a --verify-* flag", file=sys.stderr)
         return 2
-    s = mpc(args.re, args.im) if args.im != 0 else args.re
-    try:
-        res = omega_result(s, method=args.method, M=args.M)
-    except (WittenZetaPoleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    re, im = _real(args.re), _real(args.im)
+    s = mpc(re, im) if im != 0 else re
+    res = omega_result(s, method=args.method, M=args.M)
     payload = {
         "s": _complex_pair(res.s),
         "s_evaluated": _complex_pair(res.s_evaluated),
@@ -178,11 +175,8 @@ def _cmd_omega(args) -> int:
 
 def _cmd_constants(args) -> int:
     order = args.order
-    if order < 0 or order > MAX_C_ORDER:
-        print(f"error: --order must be in 0..{MAX_C_ORDER}", file=sys.stderr)
-        return 2
-    cst = constants()
     cs = c_constants(order)
+    cst = constants()
     named = [
         ("X", cst.X),
         ("Y", cst.Y),
@@ -204,18 +198,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    n_list = args.n
-    if any(n < 1 for n in n_list):
-        print("error: all n must be positive", file=sys.stderr)
-        return 2
-    if args.terms < 0:
-        print("error: --terms must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        table = compare_table(n_list, args.terms, approx_beyond_exact=args.approx_beyond_exact)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = compare_table(args.n, args.terms, approx_beyond_exact=args.approx_beyond_exact)
     out = sys.stdout
     out.write("n,L,log_r_exact,log_r_asym,ratio,residual_scaled,fitted_exponent\n")
     for row in table.rows:
@@ -237,15 +220,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    z = args.z
-    eta = args.eta
-    try:
-        direct = log_G_direct(z)
-        asym = asymptotic_log_G(z, eta)
-        res = expansion_residual(z, eta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    z, eta = _point(args.z), _real(args.eta)
+    direct = log_G_direct(z)
+    asym = asymptotic_log_G(z, eta)
+    res = abs(direct - asym)
     payload = {
         "z": _complex_pair(z),
         "eta": _nstr(eta),
@@ -289,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rn.set_defaults(func=_cmd_rn)
 
     p_om = sub.add_parser("omega", parents=[common], help="evaluate omega(s) or run its checks")
-    p_om.add_argument("--re", type=_parse_real, default=None, help="Re(s)")
-    p_om.add_argument("--im", type=_parse_real, default=mpf(0), help="Im(s) (default 0)")
+    p_om.add_argument("--re", type=_parses_as(_real), default=None, help="Re(s)")
+    p_om.add_argument("--im", type=_parses_as(_real), default="0", help="Im(s) (default 0)")
     p_om.add_argument(
         "--method",
         choices=("auto", "direct", "mb"),
@@ -340,51 +318,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "residual", parents=[common], help="direct vs asymptotic Log G(e^(-z)) at one z"
     )
     p_rs.add_argument(
-        "--z", type=_parse_point, required=True, help="evaluation point, RE or RE,IM (Re z > 0)"
+        "--z", type=_parses_as(_point), required=True, help="evaluation point, RE or RE,IM (Re z > 0)"
     )
-    p_rs.add_argument("--eta", type=_parse_real, required=True, help="scaling exponent eta")
+    p_rs.add_argument("--eta", type=_parses_as(_real), required=True, help="scaling exponent eta")
     p_rs.set_defaults(func=_cmd_residual)
 
     return parser
 
 
-def _apply_prec_early(argv) -> int | None:
-    """Apply --prec before argparse runs its type converters.
-
-    Numbers on the command line are parsed straight into mpf/mpc, so the
-    working precision must already be raised when argparse converts them.
-    Returns an exit code on error, else None.
-    """
-    raw = None
-    for i, tok in enumerate(argv):
-        if tok == "--prec" and i + 1 < len(argv):
-            raw = argv[i + 1]
-        elif tok.startswith("--prec="):
-            raw = tok.split("=", 1)[1]
-    if raw is None:
-        return None
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        set_working_digits(int(raw))
-    except ValueError as exc:
+        if args.prec is not None:
+            set_working_digits(args.prec)
+        return args.func(args)
+    except (ValueError, WittenZetaPoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return None
-
-
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    early = _apply_prec_early(argv)
-    if early is not None:
-        return early
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "prec", None) is not None:
-        try:
-            set_working_digits(args.prec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -34,9 +34,8 @@ from mpmath import mp, mpf
 
 from .series import PowerSeries
 
-# r_exact refuses ranges beyond this unless explicitly overridden: above it the
-# big-int DP still works but runtime/memory grow quickly, and callers usually
-# want the float64 route instead.
+# r_exact refuses ranges beyond this: above it the big-int DP still works but
+# runtime/memory grow quickly, and callers want the float64 route instead.
 EXACT_LIMIT = 50_000
 
 
@@ -74,17 +73,14 @@ def euler_product_coeffs(parts, limit: int) -> list[int]:
     return a
 
 
-def r_exact(limit: int, *, allow_large: bool = False) -> list[int]:
-    """[r(0), ..., r(limit)] exactly.
-
-    Raises for limit > EXACT_LIMIT unless ``allow_large=True``.
-    """
+def r_exact(limit: int) -> list[int]:
+    """[r(0), ..., r(limit)] exactly; raises for limit > EXACT_LIMIT."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit > EXACT_LIMIT and not allow_large:
+    if limit > EXACT_LIMIT:
         raise ValueError(
             f"limit {limit} exceeds the exact-range cap {EXACT_LIMIT}; "
-            "pass allow_large=True (big-int DP, slow) or use log_r_float64"
+            "beyond it use the float64 count log_r_float64"
         )
     return euler_product_coeffs(su3_parts(limit), limit)
 

@@ -12,7 +12,7 @@ logarithm; only ratios and scaled residuals are materialized as plain reals.
 Provided operations:
 
 * ``big_A``            -- log A(n).
-* ``r_asymptotic``     -- log of the truncated expansion, with its sign.
+* ``r_asymptotic``     -- log of the truncated expansion.
 * ``log_G_direct``     -- Log G(e^(-z)) summed over the dimension spectrum
                           with a certified geometric tail bound.
 * ``asymptotic_log_G`` -- the truncated expansion of Log G(e^(-z)):
@@ -40,7 +40,6 @@ from .saddle_expansion import c_constants, constants, nu_coeff
 from .special_functions import _to_mp
 
 __all__ = [
-    "SignedLog",
     "ComparisonRow",
     "ComparisonTable",
     "big_A",
@@ -50,14 +49,6 @@ __all__ = [
     "expansion_residual",
     "compare_table",
 ]
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A positive quantity too large to materialize: value = sign * exp(log_abs)."""
-
-    log_abs: mpf
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -104,12 +95,12 @@ def big_A(n: int):
     return +out
 
 
-def r_asymptotic(n: int, L: int) -> SignedLog:
-    """The truncated expansion n^(-3/5) (sum_{j<=L} C_j n^(-j/10)) A(n).
+def r_asymptotic(n: int, L: int) -> mpf:
+    """log of the truncated expansion n^(-3/5) (sum_{j<=L} C_j n^(-j/10)) A(n).
 
-    Returned as a :class:`SignedLog` of its (positive) value; if the
-    truncated C-sum is not positive the result is not a meaningful count
-    approximation and a ValueError is raised.
+    The value itself is too large to materialize.  If the truncated C-sum is
+    not positive the result is not a meaningful count approximation and a
+    ValueError is raised.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -125,7 +116,7 @@ def r_asymptotic(n: int, L: int) -> SignedLog:
         if csum <= 0:
             raise ValueError("expansion not positive at this n")
         out = big_A(n) - mpf(3) / 5 * mp.log(n) + mp.log(csum)
-    return SignedLog(log_abs=+out, sign=1)
+    return +out
 
 
 # -- Log G(e^{-z}) directly from the dimension spectrum -----------------------------

@@ -72,7 +72,6 @@ __all__ = [
     "laurent_main",
     "expansion_polys",
     "c_constants",
-    "c_constants_detail",
 ]
 
 MAX_SADDLE_ORDER = 60
@@ -407,14 +406,9 @@ def c_constants(L: int):
     evaluated termwise with the closed-form even moments
     integral x^(2k) exp(-b x^2) dx = Gamma(k+1/2) / b^(k+1/2); odd moments
     vanish.  Returns real values; the imaginary dust the odd (i-carrying)
-    monomials would contribute is checked to be negligible.
+    monomials would contribute is checked to be negligible, and a build
+    whose C_m carry more raises.
     """
-    values, _ = c_constants_detail(L)
-    return values
-
-
-def c_constants_detail(L: int):
-    """Like :func:`c_constants`, also returning the largest imaginary dust."""
     if L < 0:
         raise ValueError("L must be a nonnegative integer")
     if L > MAX_C_ORDER:
@@ -433,15 +427,19 @@ def c_constants_detail(L: int):
         moments = [mp.sqrt(mp.pi / b)]
         for k in range(1, max_deg // 2 + 1):
             moments.append(moments[-1] * (k - mpf(1) / 2) / b)
+        tol = mpf(10) ** (-(prec + 2))
         values = []
-        dust = mpf(0)
         for m in range(L + 1):
             poly = ladders.p4[m]
             total = mpc(0)
             for k in range(0, poly.degree + 1, 2):
                 total += poly.coeff(k) * moments[k // 2]
             value = prefactor * total
-            dust = max(dust, abs(mp.im(value)))
+            dust = abs(mp.im(value))
+            if dust > tol * (1 + abs(mp.re(value))):
+                raise RuntimeError(
+                    f"C_{m} has an imaginary part of {mp.nstr(dust, 5)}; the even "
+                    "ladder coefficients must be real, so the build is broken"
+                )
             values.append(+mp.re(value))
-        dust = +dust
-    return values, dust
+    return values

@@ -78,6 +78,8 @@ class WittenZetaPoleError(ZeroDivisionError):
 _DIRECT_P = 128
 _DIRECT_R = 12
 _DIRECT_SIGMA_MIN = 1.1
+# Continuation: Bernoulli corrections in the Euler-Maclaurin zeta line.
+_EM_DEPTH = 13
 # Continuation: upper bound for the trapezoid step along the contour.
 _QUAD_STEP = 0.25
 
@@ -175,7 +177,7 @@ def _horner(coeffs, x):
     return acc
 
 
-def _g2_tails(s, w, xs, tol, max_terms=20000):
+def _g2_tails(s, w, xs, tol):
     """[G2(1/x; s, w) for x in xs], each x in (0, 1/2], by the binomial series
 
         G2(1/x; s, w) = x^(s+w-1) sum_m binom(-w, m) x^m / (s+w-1+m).
@@ -190,7 +192,7 @@ def _g2_tails(s, w, xs, tol, max_terms=20000):
     ln_x_max = math.log(float(max(xs)))
     coeffs, ln_mag = [], []
     b = 1
-    for m in range(max_terms):
+    for m in range(20000):
         coeffs.append(b / (e + m))
         ln_mag.append(float(mp.ln(abs(coeffs[-1]))))
         if m > 8 and ln_mag[-1] + (sig + m) * ln_x_max < ln_tol:
@@ -474,12 +476,12 @@ def _gamma_line(a0, h, K, k0=0):
     return [mp.gamma(a0 + k * step) for k in range(k0, K + 1)]
 
 
-def _zeta_line_em(a0, h, K, depth=13):
+def _zeta_line_em(a0, h, K):
     """[zeta(a0 + i k h) for k = 0..K] by Euler-Maclaurin with a stepped power
-    table; requires Re(a0) > -(2*depth - 1) and is used for Re(a0) >= -1.
+    table; requires Re(a0) > -(2*_EM_DEPTH - 1) and is used for Re(a0) >= -1.
 
     zeta(s) = sum_{n<N} n^(-s)
-              + N^(-s) (N/(s-1) + 1/2 + sum_{r=1}^{depth} B_2r/(2r)! R_r(s)),
+              + N^(-s) (N/(s-1) + 1/2 + sum_{r=1}^{_EM_DEPTH} B_2r/(2r)! R_r(s)),
     R_r(s) = (s)_(2r-1) / N^(2r-1), all in fixed point.  R_(r+1) is R_r times
     (s+2r-1)(s+2r)/N^2, which keeps it of moderate size where (s)_(2r-1)
     and B_2r/(2r)! alone would leave the fixed-point range.  The table
@@ -502,7 +504,7 @@ def _zeta_line_em(a0, h, K, depth=13):
     sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * _ln(n)), W) for n in range(1, N + 1)))
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
     coef = []
-    for r in range(1, depth + 1):
+    for r in range(1, _EM_DEPTH + 1):
         b = bernoulli_fraction(2 * r)
         coef.append((b.numerator << 2 * W) // (b.denominator * math.factorial(2 * r)))
     nn_scale = (N * N) << W
@@ -517,10 +519,10 @@ def _zeta_line_em(a0, h, K, depth=13):
         cr = ((N * dr) << 2 * W) // den + (one >> 1)
         ci = ((-N * xi) << 2 * W) // den
         rr, ri = xr // N, xi // N  # R_1 = s/N
-        for r in range(depth):
+        for r in range(_EM_DEPTH):
             cr += (coef[r] * rr) >> 2 * W
             ci += (coef[r] * ri) >> 2 * W
-            if r + 1 < depth:
+            if r + 1 < _EM_DEPTH:
                 u = xr + (2 * r + 1) * one
                 v = u + one
                 qr, qi = (u * v - xi * xi) >> W, (xi * (u + v)) >> W
@@ -540,15 +542,15 @@ def _zeta_line_em(a0, h, K, depth=13):
     return out
 
 
-def _zeta_line(a0, h, K, depth=13):
+def _zeta_line(a0, h, K):
     """[zeta(a0 + i k h) for k = 0..K]; reflects through the functional
     equation when Re(a0) < -1 (the direct Euler-Maclaurin partial sum would
     lose ~|Re a0| * log10(N) digits to cancellation there)."""
     a0 = _to_mp(a0)
     if mp.re(a0) >= -1:
-        return _zeta_line_em(a0, h, K, depth)
+        return _zeta_line_em(a0, h, K)
     h = mpf(h)
-    inner = _zeta_line_em(1 - a0, -h, K, depth)
+    inner = _zeta_line_em(1 - a0, -h, K)
     gline = _gamma_line(1 - a0, -h, K)
     x0 = mp.re(a0)
     sin_half = mp.sin(mp.pi * x0 / 2)
@@ -825,4 +827,6 @@ def trivial_zeros(count: int, *, M: int | None = None):
 
     ``M`` is passed to :func:`omega` for every n; None picks it per point.
     """
+    if count < 1:
+        raise ValueError("count must be a positive integer")
     return [abs(omega(-n, M=M)) for n in range(1, count + 1)]

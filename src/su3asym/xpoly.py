@@ -5,8 +5,9 @@ saddle-point pipeline: there, a series in the small parameter carries at each
 order a *polynomial in the integration variable x* (with complex coefficients
 in general — odd powers of x enter multiplied by i).  Only a small, exactly
 specified set of ring operations is needed: add/sub, scalar and polynomial
-multiply, division by a scalar, small integer powers, evaluation, degree
-queries, and coefficient access.
+multiply, division by a scalar, equality with polynomials and scalars (so
+that ``p == 0`` and ``p == 1`` are exact tests), degree queries, and
+coefficient access.
 
 Coefficients may be ints, Fractions, mpf or mpc; the class never converts or
 normalises them beyond what the arithmetic itself produces.  Exact zeros are
@@ -25,7 +26,7 @@ class XPolynomial:
 
     def __init__(self, coeffs=(0,)):
         cs = list(coeffs)
-        while len(cs) > 1 and _is_exact_zero(cs[-1]):
+        while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:
             cs = [0]
@@ -51,9 +52,6 @@ class XPolynomial:
                 return k
         return -1
 
-    def is_zero(self) -> bool:
-        return all(_is_exact_zero(c) for c in self.coeffs)
-
     def __eq__(self, other):
         if isinstance(other, XPolynomial):
             n = max(len(self.coeffs), len(other.coeffs))
@@ -61,9 +59,6 @@ class XPolynomial:
         if isinstance(other, (int, float, complex)) or hasattr(other, "real"):
             return self.degree == 0 and self.coeffs[0] == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     # -- ring operations ---------------------------------------------------
 
@@ -81,16 +76,13 @@ class XPolynomial:
         return XPolynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, XPolynomial) else XPolynomial([other]).__neg__())
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, XPolynomial):
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if _is_exact_zero(a):
+                if a == 0:
                     continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
@@ -104,32 +96,12 @@ class XPolynomial:
     def __truediv__(self, scalar):
         return XPolynomial([c / scalar for c in self.coeffs])
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("XPolynomial powers must be nonnegative integers")
-        result = XPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
-
-    # -- evaluation / display ---------------------------------------------
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    # -- display -----------------------------------------------------------
 
     def __repr__(self):
         terms = []
         for k, c in enumerate(self.coeffs):
-            if _is_exact_zero(c) and len(self.coeffs) > 1:
+            if c == 0 and len(self.coeffs) > 1:
                 continue
             if k == 0:
                 terms.append(f"{c}")
@@ -138,10 +110,3 @@ class XPolynomial:
             else:
                 terms.append(f"({c})*x^{k}")
         return "XPolynomial(" + " + ".join(terms) + ")"
-
-
-def _is_exact_zero(c) -> bool:
-    try:
-        return c == 0
-    except TypeError:
-        return False

@@ -61,6 +61,13 @@ def test_omega_verify_zeros(capsys):
     assert "omega(-1)" in out
 
 
+def test_omega_verify_zeros_rejects_nonpositive_count(capsys):
+    rc, out, err = run(capsys, "omega", "--verify-zeros", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_omega_verify_zeros_rejects_shift_outside_strip(capsys):
     # M = 2 covers 3/4 - M/2 = -1/4 < Re(s) only, so omega(-1) is out of reach
     rc, out, err = run(capsys, "omega", "--verify-zeros", "3", "--M", "2")
@@ -80,6 +87,17 @@ def test_omega_mb_with_explicit_shift(capsys):
     value = mpc(*(mpf(x) for x in payload["value"]))
     direct = omega_result(s, method="direct")
     assert abs(value - direct.value) <= mpf(payload["est_error"]) + direct.est_error
+
+
+def test_omega_abbreviated_prec_applies_before_numbers_are_read(capsys):
+    # argparse accepts "--pre" for "--prec"; 0.8 must be read at 100 digits
+    rc, out, _ = run(capsys, "omega", "--re", "0.8", "--pre", "100", "--method", "mb")
+    assert rc == 0
+    abbreviated = json.loads(out)
+    assert abbreviated["s"] == ["0.8", "0.0"]
+    rc, out, _ = run(capsys, "omega", "--re", "0.8", "--prec=100", "--method", "mb")
+    assert rc == 0
+    assert json.loads(out) == abbreviated
 
 
 def test_constants_json(capsys):

@@ -9,8 +9,9 @@ from su3asym.saddle_expansion import (
     MAX_C_ORDER,
     MAX_LADDER_ORDER,
     MAX_SADDLE_ORDER,
+    LadderPolys,
+    _LADDER_CACHE,
     c_constants,
-    c_constants_detail,
     constants,
     expansion_polys,
     laurent_main,
@@ -19,6 +20,7 @@ from su3asym.saddle_expansion import (
     saddle_series,
 )
 from su3asym.special_functions import gamma_complex, zeta_complex
+from su3asym.xpoly import XPolynomial
 
 mp.dps = 60
 TOL = mpf("1e-50")
@@ -151,9 +153,20 @@ def test_c_constants_pipeline_head():
 
 
 def test_c_constants_are_real():
-    values, dust = c_constants_detail(3)
-    assert dust < mpf("1e-45")
+    values = c_constants(3)
     assert len(values) == 4
+    assert all(isinstance(v, mpf) for v in values)
+
+
+def test_c_constants_refuse_an_imaginary_even_coefficient(monkeypatch):
+    # a ladder whose x^0 coefficient carries an imaginary part cannot
+    # integrate to a real C_0; the build is broken and must say so
+    unit = XPolynomial([mpf(1)])
+    bad = XPolynomial([mpc(1, "1e-20")])
+    fake = LadderPolys(M=1, p1=(unit, unit), p2=(unit, unit), p3=(unit, unit), p4=(bad, unit))
+    monkeypatch.setitem(_LADDER_CACHE, (1, mp.dps), fake)
+    with pytest.raises(RuntimeError, match="imaginary part"):
+        c_constants(0)
 
 
 def test_c_constants_order_guard():

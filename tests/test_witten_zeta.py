@@ -16,7 +16,7 @@ from su3asym.witten_zeta import (
     verify_zeta_identity,
 )
 from su3asym import witten_zeta
-from su3asym.witten_zeta import _gamma_line, _zeta_line
+from su3asym.witten_zeta import _EM_DEPTH, _gamma_line, _zeta_line
 
 mp.dps = 60
 
@@ -77,6 +77,8 @@ def test_schwarz_symmetry():
 def test_trivial_zeros():
     zeros = trivial_zeros(3)
     assert all(abs(v) < mpf("1e-30") for v in zeros)
+    with pytest.raises(ValueError):
+        trivial_zeros(0)
 
 
 def test_pole_guard_refuses_poles():
@@ -167,7 +169,7 @@ def _em_remainder_bound(s, N, depth):
     )
 
 
-def _zeta_line_tolerance(s, dps, depth=13):
+def _zeta_line_tolerance(s, dps):
     """Truncation plus rounding allowance for one node of _zeta_line_em.
 
     The kernel's cutoff is at least N = 1.35 dps + 12 (it grows with the
@@ -175,7 +177,7 @@ def _zeta_line_tolerance(s, dps, depth=13):
     thousand units in the last digit of the partial sum's largest term."""
     N = int(1.35 * dps) + 12
     sigma = mp.re(s)
-    return _em_remainder_bound(s, N, depth) + mpf(10) ** (3 - dps) * max(1, mpf(N) ** (1 - sigma))
+    return _em_remainder_bound(s, N, _EM_DEPTH) + mpf(10) ** (3 - dps) * max(1, mpf(N) ** (1 - sigma))
 
 
 @pytest.mark.parametrize("dps", [34, 60])
