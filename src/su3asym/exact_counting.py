@@ -12,18 +12,19 @@ is the Euler product
     G(q) = prod_{j,k >= 1} (1 - q^(j k (j+k)/2))^(-1)
          = prod_d (1 - q^d)^(-mult(d)),   sum_n r(n) q^n = G(q).
 
-Everything here is exact integer / rational arithmetic:
+Everything here but the float64 fallback is exact integer / rational
+arithmetic:
 
 * :func:`su3_parts` enumerates (d, mult(d)) up to a limit,
-* :func:`euler_product_coeffs` runs the classic in-place divisor DP,
-* :func:`r_exact` combines the two (with a guard cap on the range),
+* :func:`r_exact` runs the Euler-product DP ``_euler_product`` on them in
+  exact integers (with a guard cap on the range),
 * :func:`r_exact_via_exp` recomputes r(n) through exp(log G) on exact
   rational power series — an algorithmically independent route used by the
   CLI ``--oracle-check`` and the tests,
 * :func:`p_exact` / :func:`hr_estimate` are the ordinary-partition analogue
   and its Hardy-Ramanujan first-order estimate (useful as a sanity anchor),
-* :func:`log_r_float64` is a fast float64 route for n beyond the exact cap,
-  one vectorized cumsum per factor, good up to n ≈ 2.3e5.
+* :func:`log_r_float64` is the same DP in float64 for n beyond the exact cap,
+  good up to n ≈ 2.3e5.
 """
 
 from __future__ import annotations
@@ -58,18 +59,27 @@ def su3_parts(limit: int) -> list[tuple[int, int]]:
     return sorted(counts.items())
 
 
-def euler_product_coeffs(parts, limit: int) -> list[int]:
-    """Coefficients of prod (1 - q^d)^(-mult) up to q^limit, by in-place DP.
+def _euler_product(parts, limit: int, dtype):
+    """Coefficients of prod (1 - q^d)^(-mult) up to q^limit, as a numpy array.
 
-    Each factor (1 - q^d)^(-1) is applied as the forward sweep
-    a[i] += a[i-d]; a factor with multiplicity m is applied m times.
+    Each factor (1 - q^d)^(-1) is the in-place sweep a[i] += a[i-d], applied
+    mult times.  With a[:rows*d] viewed as a (rows, d) grid, that sweep is
+    grid[i] += grid[i-1] row by row, then the last row added into the tail
+    of length (limit + 1) mod d: the same additions in the same order, d
+    cells per numpy call.  dtype object keeps exact Python ints; float64
+    rounds exactly as the cell-by-cell sweep would.
     """
-    a = [0] * (limit + 1)
+    import numpy as np  # here, so that importing the CLI does not load numpy
+
+    a = np.zeros(limit + 1, dtype=dtype)
     a[0] = 1
     for d, mult in parts:
+        rows, tail = divmod(limit + 1, d)
+        grid = a[: rows * d].reshape(rows, d)
         for _ in range(mult):
-            for i in range(d, limit + 1):
-                a[i] += a[i - d]
+            for i in range(1, rows):
+                grid[i] += grid[i - 1]
+            a[rows * d :] += grid[-1, :tail]
     return a
 
 
@@ -82,7 +92,7 @@ def r_exact(limit: int) -> list[int]:
             f"limit {limit} exceeds the exact-range cap {EXACT_LIMIT}; "
             "beyond it use the float64 count log_r_float64"
         )
-    return euler_product_coeffs(su3_parts(limit), limit)
+    return _euler_product(su3_parts(limit), limit, object).tolist()
 
 
 def r_exact_via_exp(limit: int) -> list[int]:
@@ -114,7 +124,7 @@ def r_exact_via_exp(limit: int) -> list[int]:
 
 def p_exact(limit: int) -> list[int]:
     """[p(0), ..., p(limit)] for ordinary partitions, same DP with parts 1..limit."""
-    return euler_product_coeffs([(d, 1) for d in range(1, limit + 1)], limit)
+    return _euler_product([(d, 1) for d in range(1, limit + 1)], limit, object).tolist()
 
 
 def hr_estimate(n: int) -> mpf:
@@ -131,29 +141,16 @@ def hr_estimate(n: int) -> mpf:
 def log_r_float64(limit: int):
     """log r(n) for n = 0..limit as a float64 numpy array (NaN-free).
 
-    Runs the same Euler-product DP in float64.  The in-place sweep
-    a[i] += a[i-d] along each residue class mod d is a cumulative sum, so
-    each factor is one cumsum down the columns of a[:rows*d] viewed as a
-    (rows, d) grid, plus the last row carried into the tail of length
-    (limit + 1) mod d.  Every residue class is summed in the same order as
-    the per-class sweep, so the result is bit-identical to it.  Values
-    overflow float64 once r(n) > ~1e308 (first at n = 234,313); this raises
-    if that happens.
+    Runs the Euler-product DP of r_exact in float64.  Values overflow
+    float64 once r(n) > ~1e308 (first at n = 234,313); this raises if that
+    happens.
     """
     import numpy as np
 
-    a = np.zeros(limit + 1, dtype=np.float64)
-    a[0] = 1.0
-    for d, mult in su3_parts(limit):
-        rows, tail = divmod(limit + 1, d)
-        grid = a[: rows * d].reshape(rows, d)
-        for _ in range(mult):
-            np.cumsum(grid, axis=0, out=grid)
-            a[rows * d :] += grid[-1, :tail]
+    a = _euler_product(su3_parts(limit), limit, np.float64)
     if not np.isfinite(a[-1]):
         raise OverflowError(
             f"float64 DP overflowed before n = {limit}; r(n) exceeds ~1e308"
         )
-    with_np_err = np.errstate(divide="ignore")
-    with with_np_err:
+    with np.errstate(divide="ignore"):
         return np.log(a)

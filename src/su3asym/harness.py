@@ -236,7 +236,8 @@ def _log_r_values(n_list, approx_beyond_exact: bool):
     if large_ns and not approx_beyond_exact:
         raise ValueError(
             f"n values {large_ns} exceed the exact-count cap {EXACT_LIMIT}; "
-            "pass approx_beyond_exact=True to use the float64 log-domain count"
+            "pass approx_beyond_exact=True (--approx-beyond-exact on the command "
+            "line) to use the float64 log-domain count"
         )
     out = {}
     if exact_ns:

@@ -412,10 +412,7 @@ def c_constants(L: int):
     if L < 0:
         raise ValueError("L must be a nonnegative integer")
     if L > MAX_C_ORDER:
-        raise ValueError(
-            f"L {L} exceeds {MAX_C_ORDER}; raise the working precision "
-            "deliberately before extending the C ladder"
-        )
+        raise ValueError(f"L {L} exceeds the largest supported order {MAX_C_ORDER}")
     prec = working_digits()
     cst = constants()
     ladders = expansion_polys(max(L, 1))

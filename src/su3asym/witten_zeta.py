@@ -9,11 +9,12 @@ integers (the "trivial zeros").
 
 Two independent evaluation routes are provided and cross-checked:
 
-* ``omega_direct`` -- the lattice sum over a finite block, with the two
-  one-dimensional tails and the outer corner accelerated by Euler-Maclaurin
-  corrections.  All tail integrals reduce to the incomplete-beta-type
-  function G2(a; s, w) = integral over t in [a, oo) of t^(-s) (1+t)^(-w) dt,
-  evaluated by binomial series.  Valid for Re(s) >= 1.1.
+* the direct route (``method="direct"``) -- the lattice sum over a finite
+  block, with the two one-dimensional tails and the outer corner accelerated
+  by Euler-Maclaurin corrections.  All tail integrals reduce to the
+  incomplete-beta-type function G2(a; s, w) = integral over t in [a, oo) of
+  t^(-s) (1+t)^(-w) dt, evaluated by binomial series.  Valid for
+  Re(s) >= 1.1.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -60,7 +61,6 @@ __all__ = [
     "WittenZetaPoleError",
     "omega",
     "omega_result",
-    "omega_direct",
     "omega_residue",
     "verify_zeta_identity",
     "trivial_zeros",
@@ -255,11 +255,6 @@ def _g2_ladder(s, count, tol):
 # -- direct evaluation -----------------------------------------------------------
 
 
-def omega_direct(s):
-    """omega(s) by the Euler-Maclaurin-accelerated lattice sum, Re(s) >= 1.1."""
-    return _direct_result(s).value
-
-
 def _direct_result(s) -> OmegaResult:
     prec = working_digits()
     s0 = _to_mp(s)
@@ -277,7 +272,7 @@ def _direct_result(s) -> OmegaResult:
 
 
 def _direct_eval(s):
-    """Worker for omega_direct at the current working precision.
+    """Worker for the direct route at the current working precision.
 
     Splits the lattice into the exact block {j, k <= P}, two symmetric edge
     strips {j <= P < k} handled row-by-row with Euler-Maclaurin tails in k,
@@ -581,28 +576,14 @@ _NEGZ_CACHE: dict = {}
 def _gamma_negz_line(M, h, K):
     """[Gamma(-z_k) for z_k = (M - 1/2) + i k h, k = 0..K], cached per line.
 
-    Reflection gives Gamma(-z) = (-1)^M pi / (cosh(pi t) Gamma(1 + z)) because
-    sin(pi z) = (-1)^(M+1) cosh(pi t) exactly on the half-integer line.
+    The line -z_k = 1/2 - M - i k h carries no pole of Gamma; a longer K
+    extends the cached line instead of recomputing it.
     """
     key = (M, float(h), mp.prec)
-    hit = _NEGZ_CACHE.get(key)
-    if hit is not None and len(hit) > K:
-        return hit[: K + 1]
-    c = M - mpf(1) / 2
-    start = 0 if hit is None else len(hit)
-    dens = _gamma_line(1 + c, h, K, k0=start)
-    values = list(hit) if hit is not None else []
-    sign = -mp.pi if M % 2 else mp.pi
-    e_pos = mp.exp(mp.pi * start * h)
-    e_neg = 1 / e_pos
-    e_step = mp.exp(mp.pi * h)
-    for k in range(start, K + 1):
-        cosh_t = (e_pos + e_neg) / 2
-        values.append(sign / (cosh_t * dens[k - start]))
-        e_pos *= e_step
-        e_neg /= e_step
-    _NEGZ_CACHE[key] = values
-    return values[: K + 1]
+    hit = _NEGZ_CACHE.get(key, [])
+    if len(hit) <= K:
+        hit = _NEGZ_CACHE[key] = hit + _gamma_line(mpf(1) / 2 - M, -h, K, k0=len(hit))
+    return hit[: K + 1]
 
 
 # -- Mellin-Barnes continuation ---------------------------------------------------

@@ -28,7 +28,7 @@ from su3asym.saddle_expansion import (
     saddle_series,
 )
 from su3asym.special_functions import gamma_complex, zeta_complex
-from su3asym.witten_zeta import omega, omega_direct, trivial_zeros, verify_zeta_identity
+from su3asym.witten_zeta import omega, trivial_zeros, verify_zeta_identity
 
 mp.dps = 60
 

@@ -109,6 +109,16 @@ def test_constants_json(capsys):
     assert payload["X"].startswith("1.17117")
 
 
+def test_constants_order_beyond_cap_gives_no_precision_advice(capsys):
+    # --prec cannot lift the fixed cap on the C ladder, so the error must not
+    # suggest raising the working precision
+    rc, out, err = run(capsys, "constants", "--order", "19")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: L 19 exceeds")
+    assert "precision" not in err
+
+
 def test_compare_csv(capsys):
     rc, out, _ = run(capsys, "compare", "--n", "500,1000,2000", "--terms", "1")
     assert rc == 0
@@ -136,6 +146,13 @@ def test_compare_beyond_exact_cap_prints_float_digits_only(capsys):
     last = dict(zip(cols, rows[-1].split(",")))
     assert last["L"] == "1"
     assert abs(mpf(last["ratio"]) - 1) < mpf("0.05")
+
+
+def test_compare_beyond_exact_cap_names_the_flag(capsys):
+    rc, out, err = run(capsys, "compare", "--n", "60000")
+    assert rc == 2
+    assert out == ""
+    assert "--approx-beyond-exact" in err
 
 
 def test_residual_json(capsys):

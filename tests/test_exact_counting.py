@@ -11,7 +11,7 @@ from mpmath import mp, mpf
 
 from su3asym.exact_counting import (
     EXACT_LIMIT,
-    euler_product_coeffs,
+    _euler_product,
     hr_estimate,
     log_r_float64,
     p_exact,
@@ -45,8 +45,39 @@ def test_su3_parts_larger_spectrum_matches_brute_force():
     assert su3_parts(500) == brute_force_dimensions(500)
 
 
+def per_cell_counts(parts, limit, one=1):
+    """Reference DP: the in-place sweep a[i] += a[i-d], one cell at a time.
+
+    With one=1 the counts are exact ints; with one=1.0 every addition is a
+    float64 addition, taken along each residue class mod d in order.
+    """
+    a = [0 * one] * (limit + 1)
+    a[0] = one
+    for d, mult in parts:
+        for _ in range(mult):
+            for i in range(d, limit + 1):
+                a[i] += a[i - d]
+    return a
+
+
 def test_r_exact_first_values():
     assert r_exact(7) == [1, 1, 1, 3, 3, 3, 8, 8]
+
+
+def test_r_exact_matches_per_cell_sweep():
+    assert r_exact(2000) == per_cell_counts(su3_parts(2000), 2000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=600))
+def test_r_exact_matches_per_cell_sweep_property(limit):
+    assert r_exact(limit) == per_cell_counts(su3_parts(limit), limit)
+
+
+def test_exact_counts_are_python_ints():
+    # rn --format json serialises these lists as they are
+    for counts in (r_exact(50), p_exact(50)):
+        assert all(type(c) is int for c in counts)
 
 
 def test_r_exact_matches_rational_exp_oracle():
@@ -77,18 +108,6 @@ def test_growth_bracket_observed():
     assert samples[0] < samples[1] < samples[2]
 
 
-def per_residue_float64_counts(limit):
-    """Reference float64 DP: one cumsum per residue class mod d, per factor."""
-    a = np.zeros(limit + 1, dtype=np.float64)
-    a[0] = 1.0
-    for d, mult in su3_parts(limit):
-        for _ in range(mult):
-            for res in range(d):
-                sl = a[res::d]
-                np.cumsum(sl, out=sl)
-    return a
-
-
 def max_relative_log_error(logs, exact):
     """max over n >= 1 of |logs[n] - log r(n)| / max(|log r(n)|, 1)."""
     worst = 0.0
@@ -99,9 +118,10 @@ def max_relative_log_error(logs, exact):
 
 
 def test_log_r_float64_bit_identical_to_per_residue_sweep():
-    with np.errstate(divide="ignore"):
-        want = np.log(per_residue_float64_counts(1000))
-    assert np.array_equal(log_r_float64(1000), want)
+    for limit in (1000, 20000):
+        with np.errstate(divide="ignore"):
+            want = np.log(per_cell_counts(su3_parts(limit), limit, one=1.0))
+        assert np.array_equal(log_r_float64(limit), want)
 
 
 def test_log_r_float64_tracks_exact():
@@ -124,9 +144,11 @@ def test_log_r_float64_matches_exact_property(limit):
 
 
 def test_euler_product_coeffs_single_part():
-    # One part of size 2: coefficients of 1/(1 - q^2)
-    coeffs = euler_product_coeffs([(2, 1)], 7)
-    assert coeffs == [1, 0, 1, 0, 1, 0, 1, 0]
+    # One part of size 2: coefficients of 1/(1 - q^2), in either dtype
+    for dtype in (object, np.float64):
+        coeffs = _euler_product([(2, 1)], 7, dtype)
+        assert coeffs.dtype == dtype
+        assert coeffs.tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
 
 
 def test_p_exact_known_values():

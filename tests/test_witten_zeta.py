@@ -9,28 +9,27 @@ from su3asym.special_functions import gamma_complex, zeta_complex
 from su3asym.witten_zeta import (
     WittenZetaPoleError,
     omega,
-    omega_direct,
     omega_residue,
     omega_result,
     trivial_zeros,
     verify_zeta_identity,
 )
 from su3asym import witten_zeta
-from su3asym.witten_zeta import _EM_DEPTH, _gamma_line, _zeta_line
+from su3asym.witten_zeta import _EM_DEPTH, _gamma_line, _gamma_negz_line, _zeta_line
 
 mp.dps = 60
 
 
 def test_direct_closed_form_values():
     # omega(2) = pi^6 / 2835 and omega(1) = 2 zeta(3) are classical
-    assert abs(omega_direct(2) - mp.pi**6 / 2835) < mpf("1e-50")
+    assert abs(omega(2, method="direct") - mp.pi**6 / 2835) < mpf("1e-50")
     # s = 1 lies below the direct route's threshold Re(s) >= 1.1: the
     # continuation covers it, within its own error estimate
     res = omega_result(1)
     assert res.method == "mb"
     assert abs(res.value - 2 * mp.zeta(3)) <= res.est_error
     with pytest.raises(ValueError):
-        omega_direct(1)
+        omega(1, method="direct")
 
 
 def test_direct_value_independent_of_call_history(monkeypatch):
@@ -39,17 +38,17 @@ def test_direct_value_independent_of_call_history(monkeypatch):
     monkeypatch.setattr(witten_zeta, "_LN_CACHE", {})
     s = mpc("1.5", "2")
     mp.dps = 60
-    fresh = omega_direct(s)
+    fresh = omega(s, method="direct")
     mp.dps = 100
-    omega_direct(s)
+    omega(s, method="direct")
     mp.dps = 60
-    assert omega_direct(s) == fresh
+    assert omega(s, method="direct") == fresh
 
 
 def test_direct_vs_continuation_real_point():
     s = mpf("1.5")
     res = omega_result(s, method="mb")
-    diff = abs(res.value - omega_direct(s))
+    diff = abs(res.value - omega(s, method="direct"))
     assert diff < mpf("1e-20")
     assert diff <= res.est_error
 
@@ -238,6 +237,26 @@ def test_gamma_line_start_offset():
     full = _gamma_line(a0, h, 40)
     tail = _gamma_line(a0, h, 40, k0=31)
     assert all(abs(x - y) <= mpf(10) ** (-32) * abs(x) for x, y in zip(full[31:], tail))
+
+
+@pytest.mark.parametrize("dps", [34, 60])
+@pytest.mark.parametrize("M", [3, 4])
+def test_gamma_negz_line_matches_pointwise(monkeypatch, dps, M):
+    # Gamma(-z_k) on the contour z_k = (M - 1/2) + i k h, for M odd and even;
+    # the second call extends the cached 41-node line, so nodes 255, 256 and
+    # the last come from the extension
+    monkeypatch.setattr(witten_zeta, "_NEGZ_CACHE", {})
+    mp.dps = dps
+    h = mpf("0.0511")
+    head = _gamma_negz_line(M, h, 40)
+    values = _gamma_negz_line(M, h, LINE_NODES[-1])
+    assert len(values) == LINE_NODES[-1] + 1 and values[:41] == head
+    for k in (0, 255, 256, LINE_NODES[-1]):
+        z = M - mpf(1) / 2 + mpc(0, k * h)
+        with mp.workdps(dps + 10):
+            want = gamma_complex(-z)
+        rel = abs(values[k] - want) / abs(want)
+        assert rel < mpf(10) ** (3 - dps), f"dps={dps} node {k}: relative error {mp.nstr(rel, 3)}"
 
 
 @pytest.mark.parametrize("s", [mpc("1.25", "3.7"), mpc("1.9", "-4.4"), mpc("1.55", "0.6")])
