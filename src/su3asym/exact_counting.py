@@ -143,11 +143,12 @@ def log_r_float64(limit: int):
 
     Runs the Euler-product DP of r_exact in float64.  Values overflow
     float64 once r(n) > ~1e308 (first at n = 234,313); this raises if that
-    happens.
+    happens, without numpy's own overflow warning.
     """
     import numpy as np
 
-    a = _euler_product(su3_parts(limit), limit, np.float64)
+    with np.errstate(over="ignore"):
+        a = _euler_product(su3_parts(limit), limit, np.float64)
     if not np.isfinite(a[-1]):
         raise OverflowError(
             f"float64 DP overflowed before n = {limit}; r(n) exceeds ~1e308"

@@ -67,7 +67,6 @@ __all__ = [
     "LadderPolys",
     "constants",
     "saddle_series",
-    "saddle_residual_max",
     "nu_coeff",
     "laurent_main",
     "expansion_polys",
@@ -201,7 +200,7 @@ def saddle_series(order: int) -> SaddleSeries:
 
     Solves F(S(x); x) = 0 by Newton iteration on truncated series; the
     residual series of the returned solution vanishes to the requested
-    order (see :func:`saddle_residual_max`).
+    order.
     """
     _check_saddle_order(order)
     prec = working_digits()
@@ -210,21 +209,6 @@ def saddle_series(order: int) -> SaddleSeries:
         g = _saddle_series_raw(order, cst.X, cst.Y)
         rho = tuple(+mp.re(g.coeff(k)) for k in range(order + 1))
     return SaddleSeries(rho=rho, order=order)
-
-
-def saddle_residual_max(order: int):
-    """max |coefficient| of F(S(x); x) through x^order (should be ~0)."""
-    _check_saddle_order(order)
-    prec = working_digits()
-    cst = constants()
-    with mp.workdps(prec + 15 + order):
-        g = _saddle_series_raw(order, cst.X, cst.Y)
-        x = PowerSeries.identity(g.order, mpf(1))
-        F = _saddle_F(g, x, cst.X, cst.Y)
-        worst = mpf(0)
-        for k in range(F.valuation, F.order):
-            worst = max(worst, abs(F.coeff(k)))
-    return +worst
 
 
 # -- nu coefficients ---------------------------------------------------------------

@@ -13,8 +13,9 @@ Two independent evaluation routes are provided and cross-checked:
   block, with the two one-dimensional tails and the outer corner accelerated
   by Euler-Maclaurin corrections.  All tail integrals reduce to the
   incomplete-beta-type function G2(a; s, w) = integral over t in [a, oo) of
-  t^(-s) (1+t)^(-w) dt, evaluated by binomial series.  Valid for
-  Re(s) >= 1.1.
+  t^(-s) (1+t)^(-w) dt, which by the Euler integral is one Gauss
+  hypergeometric function, G2(1/x; s, w) = x^e 2F1(w, e; e+1; -x) / e with
+  e = s + w - 1 (mpmath's hyp2f1).  Valid for Re(s) >= 1.1.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -73,11 +74,10 @@ class WittenZetaPoleError(ZeroDivisionError):
 
 # Direct route: the lattice block j, k <= _DIRECT_P is summed exactly and
 # everything beyond it is covered by Euler-Maclaurin tails with _DIRECT_R
-# Bernoulli corrections each; it accepts Re(s) >= _DIRECT_SIGMA_MIN, which
-# is also where ``method="auto"`` switches from the continuation to it.
+# Bernoulli corrections each; it accepts Re(s) >= 11/10, which is also where
+# ``method="auto"`` switches from the continuation to it.
 _DIRECT_P = 128
 _DIRECT_R = 12
-_DIRECT_SIGMA_MIN = 1.1
 # Continuation: Bernoulli corrections in the Euler-Maclaurin zeta line.
 _EM_DEPTH = 13
 # Continuation: upper bound for the trapezoid step along the contour.
@@ -103,25 +103,9 @@ class OmegaResult:
     est_error: object
 
 
-_LN_CACHE: dict[tuple[int, int], mpf] = {}
-
-
-def _ln(n: int) -> mpf:
-    """ln n at the working precision, cached per (n, precision).
-
-    Keying by precision keeps results independent of call history: a value
-    computed at a higher precision is never handed back unrounded.
-    """
-    key = (n, mp.prec)
-    value = _LN_CACHE.get(key)
-    if value is None:
-        value = _LN_CACHE[key] = mp.ln(mpf(n))
-    return value
-
-
 def _npow(n: int, s) -> mpc:
-    """n^(-s) via exp(-s ln n) with the cached logarithm."""
-    return mp.exp(-s * _ln(n))
+    """n^(-s) via exp(-s ln n)."""
+    return mp.exp(-s * mp.ln(n))
 
 
 # -- pole bookkeeping -----------------------------------------------------------
@@ -142,7 +126,7 @@ def _pole_guard(s) -> None:
         )
 
 
-# -- the tail integral G2(a; s, w) = int_a^oo t^(-s) (1+t)^(-w) dt ---------------
+# -- coefficient-list helpers and the tail integral G2(a; s, w) ------------------
 
 
 def _binom_series(alpha, scale, n_terms, one):
@@ -177,92 +161,30 @@ def _horner(coeffs, x):
     return acc
 
 
-def _g2_tails(s, w, xs, tol):
-    """[G2(1/x; s, w) for x in xs], each x in (0, 1/2], by the binomial series
-
-        G2(1/x; s, w) = x^(s+w-1) sum_m binom(-w, m) x^m / (s+w-1+m).
-
-    The coefficients are built once for all x and each series is summed by
-    Horner's rule through its first term m > 8 below tol, the term sizes
-    judged from the coefficients' magnitudes.
-    """
+def _g2(s, w, x):
+    """G2(1/x; s, w) = int_0^x u^(e-1) (1+u)^(-w) du = x^e 2F1(w, e; e+1; -x) / e,
+    e = s + w - 1 (the Euler integral, DLMF 15.6.1)."""
     e = s + w - 1
-    sig = float(mp.re(e))
-    ln_tol = float(mp.ln(tol))
-    ln_x_max = math.log(float(max(xs)))
-    coeffs, ln_mag = [], []
-    b = 1
-    for m in range(20000):
-        coeffs.append(b / (e + m))
-        ln_mag.append(float(mp.ln(abs(coeffs[-1]))))
-        if m > 8 and ln_mag[-1] + (sig + m) * ln_x_max < ln_tol:
-            break
-        b = b * (-w - m) / (m + 1)
-    else:
-        raise ArithmeticError("G2 tail series did not reach the tolerance")
-    out = []
-    for x in xs:
-        ln_x = math.log(float(x))
-        n = next(m for m in range(9, len(coeffs)) if ln_mag[m] + (sig + m) * ln_x < ln_tol)
-        out.append(mp.exp(e * mp.ln(x)) * _horner(coeffs[: n + 1], x))
-    return out
-
-
-def _g2_one(s, w, tol):
-    """G2(1; s, w) = int_0^1 u^(s+w-2) (1+u)^(-w) du, split at u = 1/2.
-
-    On [0, 1/2] the binomial series integrates termwise; on [1/2, 1] the
-    integrand is expanded around u = 3/4 (convergence ratio 1/3) and only the
-    even Taylor terms survive the symmetric integration.
-    """
-    # [0, 1/2]: same series as the tail form evaluated at x = 1/2
-    total = _g2_tails(s, w, [mpf(1) / 2], tol)[0]
-    # [1/2, 1]: Taylor around mu = 3/4
-    one = s * 0 + 1
-    mu = mpf(3) / 4
-    n_terms = int(mp.dps * math.log(10) / math.log(3)) + 12
-    ca = _binom_series(s + w - 2, 1 / mu, n_terms, one)
-    cb = _binom_series(-w, 1 / (1 + mu), n_terms, one)
-    c_even = _convolve(ca, cb, n_terms, range(0, n_terms, 2))  # c_even[i] = c[2i]
-    f0 = mp.exp((s + w - 2) * mp.ln(mu) - w * mp.ln(1 + mu))
-    quarter = mpf(1) / 4
-    vpow = quarter  # (1/4)^(q+1) at q = 0
-    part = c_even[0] * vpow
-    for q in range(2, n_terms, 2):
-        vpow *= quarter * quarter
-        part += c_even[q // 2] * vpow / (q + 1)
-    return total + 2 * f0 * part
-
-
-def _g2_ladder(s, count, tol):
-    """[G2(1; s, s + q) for q = 0..count-1] by the forward recurrence
-    G2(1; s, w+1) = ((s + w - 1) G2(1; s, w) - 2^(-w)) / w, with the last
-    element validated against direct evaluation (full direct recomputation on
-    mismatch)."""
-    ladder = [_g2_one(s, s, tol)]
-    pw2 = mp.exp(-s * mp.ln(mpf(2)))  # 2^(-w) at w = s
-    for q in range(count - 1):
-        w = s + q
-        ladder.append(((s + w - 1) * ladder[-1] - pw2) / w)
-        pw2 /= 2
-    if count > 1:
-        check = _g2_one(s, s + (count - 1), tol)
-        if abs(ladder[-1] - check) > mpf("1e-8") * (1 + abs(check)):
-            ladder = [_g2_one(s, s + q, tol) for q in range(count)]
-    return ladder
+    return mp.exp(e * mp.ln(x)) * mp.hyp2f1(w, e, e + 1, -x) / e
 
 
 # -- direct evaluation -----------------------------------------------------------
+
+
+def _direct_allowed(sigma) -> bool:
+    """Re(s) >= 11/10, the threshold rounded at the working precision like
+    the input, so that s = mpf("1.1") qualifies at any precision."""
+    return sigma >= mpf(11) / 10
 
 
 def _direct_result(s) -> OmegaResult:
     prec = working_digits()
     s0 = _to_mp(s)
     sigma = mp.re(s0)
-    if sigma < _DIRECT_SIGMA_MIN:
+    if not _direct_allowed(sigma):
         raise ValueError(
             f"Re(s) = {mp.nstr(sigma, 8)} is below the direct-summation "
-            f"threshold {_DIRECT_SIGMA_MIN}; use continuation"
+            "threshold 1.1; use continuation"
         )
     guard = 10 + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
     wd = max(30, prec // 2 + 18) + guard
@@ -284,7 +206,7 @@ def _direct_eval(s):
     if mp.im(s) == 0:
         s = mp.re(s)  # real arithmetic throughout
     one = s * 0 + 1
-    tol = mpf(10) ** (-(mp.dps - 4))
+    tol = mpf(10) ** (-(mp.dps - 4))  # rounding allowance per summed piece
     n_ord = 2 * R + 2
 
     pw = [None] * (3 * P + 1)
@@ -338,9 +260,10 @@ def _direct_eval(s):
         range(1, n_ord, 2),
     )
     corr_j = [bern_over[r] * gamma_odd[r - 1] for r in range(1, R + 1)]
-    # tail integrals G2(K/j; s, s): x = j/P on the rows 2j < P, x = 1/2 on the rest
+    # tail integrals G2(K/j; s, s), each one 2F1 (see _g2): x = j/P on the
+    # rows 2j < P, x = 1/2 on the rest
     n_low = (P + 1) // 2  # rows 1..n_low-1 have 2j < P
-    tails = _g2_tails(s, s, [mpf(j) / P for j in range(1, n_low)] + [mpf(1) / 2], tol)
+    tails = [_g2(s, s, mpf(j) / P) for j in range(1, n_low)] + [_g2(s, s, mpf(1) / 2)]
     for j in range(1, P + 1):
         K = max(P, 2 * j)
         pj = pw[j]
@@ -359,7 +282,7 @@ def _direct_eval(s):
             corr = _horner(corr_j, u * u) * u
             last = gamma_odd[R] * u ** (2 * R + 1)
             g2 = tails[-1]
-        integral = mp.exp((1 - 2 * s) * _ln(j)) * g2
+        integral = mp.exp((1 - 2 * s) * mp.ln(j)) * g2
         base = pw[K] * pw[j + K]
         acc += 2 * pj * (integral - base / 2 - base * corr)
         est += abs(2 * pj * base * bern_next * last)
@@ -367,10 +290,10 @@ def _direct_eval(s):
     # corner j, k > P: Euler-Maclaurin over j applied to
     # h(j) = j^(-s) * [tail over k > P of k^(-s) (j+k)^(-s)],
     # itself written through its own Euler-Maclaurin form so that the exact
-    # j-integral reduces to the G2(1; s, s + q) ladder.
-    ladder = _g2_ladder(s, 2 * R, tol)
+    # j-integral reduces to the ladder G2(1; s, s + q), q < 2R, one 2F1 each.
+    ladder = [_g2(s, s + q, 1) for q in range(2 * R)]
     gfrak = ladder[0]
-    lnP = _ln(P)
+    lnP = mp.ln(P)
     Pm2 = mpf(P) ** (-2)
     base23 = mp.exp((2 - 3 * s) * lnP)
     integral_h = base23 * 2 * gfrak / (3 * s - 2) - mp.exp((1 - 3 * s) * lnP) * gfrak / 2
@@ -496,7 +419,7 @@ def _zeta_line_em(a0, h, K):
         return zip(*(_fix(_npow(n, base), W) for n in range(1, N + 1)))
 
     tre, tim = power_table(a0)
-    sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * _ln(n)), W) for n in range(1, N + 1)))
+    sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * mp.ln(n)), W) for n in range(1, N + 1)))
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
     coef = []
     for r in range(1, _EM_DEPTH + 1):
@@ -739,7 +662,7 @@ def omega_result(s, method: str = "auto", *, M: int | None = None) -> OmegaResul
     s0 = _to_mp(s)
     _pole_guard(s0)
     if method == "auto":
-        method = "direct" if mp.re(s0) >= _DIRECT_SIGMA_MIN else "mb"
+        method = "direct" if _direct_allowed(mp.re(s0)) else "mb"
     if method == "direct":
         return _direct_result(s0)
     if method == "mb":

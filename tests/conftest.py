@@ -8,7 +8,16 @@ raises mid-way through a precision change cannot poison its neighbours.
 from __future__ import annotations
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
+
+from su3asym.precision import working_digits
+from su3asym.saddle_expansion import (
+    _check_saddle_order,
+    _saddle_F,
+    _saddle_series_raw,
+    constants,
+)
+from su3asym.series import PowerSeries
 
 
 @pytest.fixture(autouse=True)
@@ -18,3 +27,23 @@ def _restore_precision():
         yield
     finally:
         mp.dps = saved
+
+
+def _saddle_residual_max(order: int):
+    """max |coefficient| of F(S(x); x) through x^order (should be ~0)."""
+    _check_saddle_order(order)
+    prec = working_digits()
+    cst = constants()
+    with mp.workdps(prec + 15 + order):
+        g = _saddle_series_raw(order, cst.X, cst.Y)
+        x = PowerSeries.identity(g.order, mpf(1))
+        F = _saddle_F(g, x, cst.X, cst.Y)
+        worst = mpf(0)
+        for k in range(F.valuation, F.order):
+            worst = max(worst, abs(F.coeff(k)))
+    return +worst
+
+
+@pytest.fixture
+def saddle_residual_max():
+    return _saddle_residual_max

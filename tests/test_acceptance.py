@@ -24,7 +24,6 @@ from su3asym.saddle_expansion import (
     constants,
     expansion_polys,
     laurent_main,
-    saddle_residual_max,
     saddle_series,
 )
 from su3asym.special_functions import gamma_complex, zeta_complex
@@ -198,7 +197,7 @@ def test_criterion_05_saddle_series_closed_forms():
     assert abs(rho[5] - 4959 * Y**5 / (2048000000 * X**15)) < tol
 
 
-def test_criterion_05_saddle_equation_residual_to_order_30():
+def test_criterion_05_saddle_equation_residual_to_order_30(saddle_residual_max):
     assert saddle_residual_max(30) < mpf("1e-45")
 
 

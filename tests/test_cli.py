@@ -49,6 +49,16 @@ def test_omega_point_json(capsys):
     assert abs(value - mp.pi**6 / 2835) < mpf("1e-35")
 
 
+def test_omega_direct_at_its_threshold(capsys):
+    # Re(s) = 1.1 is the direct route's threshold and lies inside its range
+    rc, out, err = run(capsys, "omega", "--re", "1.1", "--method", "direct")
+    assert rc == 0, err
+    assert json.loads(out)["method"] == "direct"
+    rc, out, _ = run(capsys, "omega", "--re", "1.1")
+    assert rc == 0
+    assert json.loads(out)["method"] == "direct"
+
+
 def test_omega_pole_is_an_error(capsys):
     rc, _, err = run(capsys, "omega", "--re", "0.5")
     assert rc == 2

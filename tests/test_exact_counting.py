@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,15 @@ def test_log_r_float64_bit_identical_to_per_residue_sweep():
         with np.errstate(divide="ignore"):
             want = np.log(per_cell_counts(su3_parts(limit), limit, one=1.0))
         assert np.array_equal(log_r_float64(limit), want)
+
+
+def test_log_r_float64_overflow_raises_without_numpy_warning():
+    # r(234313) is the first count beyond float64's range; the library says
+    # so itself, and numpy must not print its own overflow warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            log_r_float64(234_313)
 
 
 def test_log_r_float64_tracks_exact():

@@ -16,7 +16,6 @@ from su3asym.saddle_expansion import (
     expansion_polys,
     laurent_main,
     nu_coeff,
-    saddle_residual_max,
     saddle_series,
 )
 from su3asym.special_functions import gamma_complex, zeta_complex
@@ -59,7 +58,7 @@ def test_saddle_series_closed_form_coefficients():
     assert abs(rho[5] - 4959 * Y**5 / (2048000000 * X**15)) < TOL
 
 
-def test_saddle_series_residual_vanishes():
+def test_saddle_series_residual_vanishes(saddle_residual_max):
     assert saddle_residual_max(25) < mpf("1e-80")
 
 

@@ -15,7 +15,7 @@ from su3asym.witten_zeta import (
     verify_zeta_identity,
 )
 from su3asym import witten_zeta
-from su3asym.witten_zeta import _EM_DEPTH, _gamma_line, _gamma_negz_line, _zeta_line
+from su3asym.witten_zeta import _EM_DEPTH, _g2, _gamma_line, _gamma_negz_line, _zeta_line
 
 mp.dps = 60
 
@@ -32,10 +32,9 @@ def test_direct_closed_form_values():
         omega(1, method="direct")
 
 
-def test_direct_value_independent_of_call_history(monkeypatch):
+def test_direct_value_independent_of_call_history():
     # A higher-precision evaluation in between must not change the last
-    # digits of a later one: cached logarithms are kept per precision.
-    monkeypatch.setattr(witten_zeta, "_LN_CACHE", {})
+    # digits of a later one.
     s = mpc("1.5", "2")
     mp.dps = 60
     fresh = omega(s, method="direct")
@@ -100,6 +99,20 @@ def test_method_auto_dispatch():
     assert omega_result(mpf("0.8")).method == "mb"
 
 
+@pytest.mark.parametrize("dps", [30, 60])
+def test_direct_threshold_is_exactly_one_point_one(dps):
+    # Re(s) >= 1.1 with 1.1 read at the working precision, whether it comes
+    # in as a string or a float; the auto dispatch picks the direct route,
+    # which then checks the threshold again
+    mp.dps = dps
+    for s in (mpf("1.1"), 1.1, mpc("1.1", "0.5")):
+        assert omega_result(s).method == "direct"
+    below = mpf("1.1") - mpf(10) ** (-dps + 2)
+    assert omega_result(below).method == "mb"
+    with pytest.raises(ValueError, match="threshold 1.1"):
+        omega_result(below, method="direct")
+
+
 def test_residue_at_two_thirds_closed_form():
     res = omega_residue("two_thirds")
     third = mpf(1) / 3
@@ -141,6 +154,35 @@ def test_result_metadata():
     assert res.s == mpf("0.8")
     assert res.s_evaluated == res.s  # no perturbation needed off the poles
     assert res.est_error > 0
+
+
+# -- the direct route's tail integrals and its error claim ---------------------
+
+
+@pytest.mark.parametrize("s", [mpf("1.3"), mpc("1.5", "2.1"), mpc("3.3", "-7")])
+def test_g2_matches_quadrature_of_its_integral(s):
+    # G2(1/x; s, w) = int_0^x u^(s+w-2) (1+u)^(-w) du, at the (w, x) pairs
+    # the direct route uses: w = s on the edge-strip tails x = j/P and 1/2,
+    # w = s + q on the corner ladder at x = 1
+    mp.dps = 40
+    pairs = [(s, mpf(1) / 128), (s, mpf(37) / 128), (s, mpf(1) / 2), (s, mpf(1)), (s + 23, mpf(1))]
+    for w, x in pairs:
+        want = mp.quad(lambda u: u ** (s + w - 2) * (1 + u) ** (-w), [0, x])
+        rel = abs(_g2(s, w, x) - want) / abs(want)
+        assert rel <= mpf("1e-35"), f"s={s}, w={w}, x={x}: relative error {mp.nstr(rel, 3)}"
+
+
+@pytest.mark.parametrize("s", [mpc("4", "120"), mpc("1.2", "-60")])
+def test_direct_error_claim_holds_at_large_imaginary_part(s):
+    mp.dps = 60
+    r60 = omega_result(s, method="direct")
+    mp.dps = 120
+    v120 = omega(s, method="direct")
+    mp.dps = 60
+    err = abs(r60.value - v120)
+    assert err <= r60.est_error, (
+        f"s={s}: |v60 - v120| = {mp.nstr(err, 3)} exceeds est_error {mp.nstr(r60.est_error, 3)}"
+    )
 
 
 # -- the line evaluators behind the contour quadrature ---------------------------
