@@ -28,7 +28,21 @@ Two independent evaluation routes are provided and cross-checked:
   valid on the strip 3/4 - M/2 < Re(s) < M + 1/2.  The vertical-line
   integral is evaluated by trapezoid quadrature; the integrand inherits the
   e^(-pi t) decay of the Gamma factors, so the trapezoid rule converges
-  geometrically in the step size.
+  geometrically in the step size.  It is corrected for the poles z_p of the
+  integrand f (Trefethen and Weideman, "The exponentially convergent
+  trapezoidal rule", SIAM Review 56(3), 2014, section 5): on the line
+  Re(z) = c = M - 1/2, with T = (h/(2 pi)) sum_k f(c + i k h),
+
+      (1/(2 pi i)) integral f dz = T - sum_{Re z_p < c} Res_p / (e^(2 pi (c - z_p)/h) - 1)
+                                     + sum_{Re z_p > c} Res_p / (e^(2 pi (z_p - c)/h) - 1),
+
+  where Res_p / Gamma(s) is a term of the finite part (F the first term,
+  t_k = (-1)^k (s)_k / k! zeta(2s+k) zeta(s-k) the k-th), so the correction
+  reweights it and the step need not stay small against the Gamma(-z)
+  poles half a unit from the line:
+
+      z_p:                1 - 2s    s - 1    k (Gamma(-z))    -s - k (Gamma(s+z))
+      Res_p / Gamma(s):   +F        -F       -t_k             +t_k
 
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
@@ -80,8 +94,11 @@ _DIRECT_P = 128
 _DIRECT_R = 12
 # Continuation: Bernoulli corrections in the Euler-Maclaurin zeta line.
 _EM_DEPTH = 13
-# Continuation: upper bound for the trapezoid step along the contour.
+# Continuation: trapezoid step cap; the step is sized for a pole-free strip of
+# half-width 0.9 x 2.5 once the integrand's poles within _POLE_BAND are corrected.
 _QUAD_STEP = 0.25
+_POLE_BAND = 3
+_QUAD_HALF_WIDTH = 2.25
 
 POLE_NEIGHBORHOOD = mpf("1e-6")
 _COLLISION_NEIGHBORHOOD = mpf("1e-8")
@@ -491,8 +508,8 @@ def _zeta_line(a0, h, K):
     return out
 
 
-# Lines of Gamma(-z) keyed by (M, h, precision); a plain dict, like every
-# cache here (one computation per process, see su3asym.precision).
+# Lines of Gamma(-z) keyed by (M, h, precision), one precision at a time; a
+# plain dict (one computation per process, see su3asym.precision).
 _NEGZ_CACHE: dict = {}
 
 
@@ -503,6 +520,8 @@ def _gamma_negz_line(M, h, K):
     extends the cached line instead of recomputing it.
     """
     key = (M, float(h), mp.prec)
+    for stale in [k for k in _NEGZ_CACHE if k[2] != mp.prec]:
+        del _NEGZ_CACHE[stale]
     hit = _NEGZ_CACHE.get(key, [])
     if len(hit) <= K:
         hit = _NEGZ_CACHE[key] = hit + _gamma_line(mpf(1) / 2 - M, -h, K, k0=len(hit))
@@ -530,20 +549,28 @@ def _strip_check(re_s: float, M: int) -> None:
         )
 
 
+def _pole_weight(z, c, h):
+    """Trapezoid error per unit residue of a simple pole at z off the line
+    Re(z) = c, for step h and the integral (1/(2 pi i)) integral dz."""
+    if mp.re(z) < c:
+        return 1 / mp.expm1(2 * mp.pi * (c - z) / h)
+    return -1 / mp.expm1(2 * mp.pi * (z - c) / h)
+
+
 def _mb_integral(s, M: int, digit_target: int):
-    """(h/(2 pi)) * trapezoid sum of Gamma(s+z) Gamma(-z) zeta(2s+z) zeta(s-z)
-    over the line z = (M - 1/2) + i t, plus a truncation/discretization error
-    estimate.  Runs at the caller's working precision."""
+    """T = (h/(2 pi)) sum_k f(c + i k h), f(z) = Gamma(s+z) Gamma(-z)
+    zeta(2s+z) zeta(s-z), on the line z = c + i t, c = M - 1/2; the error
+    estimate of the integral T - sum_p Res_p * _pole_weight(z_p, c, h)
+    (Trefethen and Weideman 2014, section 5), which the caller forms, as
+    Res_p / Gamma(s) is +F at z_p = 1 - 2s, -F at s - 1, -t_k at k and +t_k
+    at -s - k (its finite-part terms); and h.  At the working precision."""
     c = M - mpf(1) / 2
     re_s = float(mp.re(s))
     im_s = float(mp.im(s))
-    # analyticity half-width around the contour: Gamma(-z) poles sit one half
-    # to either side; the zeta poles sit at Re(z) = Re(s) - 1 and 1 - 2 Re(s)
-    d_eff = min(0.5, M + 0.5 - re_s, M - 1.5 + 2 * re_s)
-    d_use = 0.9 * d_eff
-    if d_use <= 0.05:
+    # zeta poles at Re(z) = Re(s) - 1 and 1 - 2 Re(s); Gamma poles stay >= 1/2 off
+    if min(M + 0.5 - re_s, M - 1.5 + 2 * re_s) <= 0.05:
         raise ValueError("contour passes too close to a pole of the integrand; increase M")
-    h = mpf(min(_QUAD_STEP, 2 * math.pi * d_use / (math.log(10) * (digit_target + 4))))
+    h = mpf(min(_QUAD_STEP, 2 * math.pi * _QUAD_HALF_WIDTH / (math.log(10) * (digit_target + 4))))
     # contour length: solve pi t = ln10 (Dq + 6) + growth * ln t for the
     # e^(-pi t) decay, then extend until the boundary values meet the target
     growth = max(2.0, re_s + 2.0)
@@ -589,7 +616,7 @@ def _mb_integral(s, M: int, digit_target: int):
         t_max *= 1.4
     value = h * total / (2 * mp.pi)
     est = est_trunc + mpf(10) ** (-(digit_target + 4)) + (K + 1) * mpf(10) ** (-(mp.dps - 2))
-    return value, est
+    return value, est, h
 
 
 def _continued_result(s, M: int | None) -> OmegaResult:
@@ -618,24 +645,27 @@ def _continued_result(s, M: int | None) -> OmegaResult:
     quad_dps = digit_target + 14
     with mp.workdps(quad_dps):
         s_quad = +s0 + eps
-        integral, integral_est = _mb_integral(s_quad, M, digit_target)
+        trapezoid, integral_est, h = _mb_integral(s_quad, M, digit_target)
     with mp.workdps(finite_dps):
         s_ev = +s0 + eps
+        # each term takes on its poles' weights; only z = k >= M lie right of c
+        c = M - mpf(1) / 2
         first = (
             gamma_complex(2 * s_ev - 1)
             * gamma_complex(1 - s_ev)
             * zeta_complex(3 * s_ev - 1)
             / gamma_complex(s_ev)
-        )
+        ) * (1 - _pole_weight(1 - 2 * s_ev, c, h) + _pole_weight(s_ev - 1, c, h))
         finite_sum = mpf(0)
         coeff = mpf(1)  # (-1)^k (s)_k / k!
-        for k in range(M):
-            finite_sum += coeff * zeta_complex(2 * s_ev + k) * zeta_complex(s_ev - k)
+        for k in range(M + _POLE_BAND):
+            term = coeff * zeta_complex(2 * s_ev + k) * zeta_complex(s_ev - k)
+            finite_sum += term * ((k < M) + _pole_weight(k, c, h) - _pole_weight(-s_ev - k, c, h))
             coeff = coeff * (s_ev + k) / (-(k + 1))
         gamma_s = gamma_complex(s_ev)
-        value = first + finite_sum + integral / gamma_s
+        value = first + finite_sum + trapezoid / gamma_s
         # pre-cancellation magnitudes bound the rounding loss
-        big = abs(first) + abs(finite_sum) + abs(integral / gamma_s)
+        big = abs(first) + abs(finite_sum) + abs(trapezoid / gamma_s)
         est = (
             integral_est / abs(gamma_s)
             + (1 + big) * mpf(10) ** (-(finite_dps - 12))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -15,7 +17,14 @@ from su3asym.witten_zeta import (
     verify_zeta_identity,
 )
 from su3asym import witten_zeta
-from su3asym.witten_zeta import _EM_DEPTH, _g2, _gamma_line, _gamma_negz_line, _zeta_line
+from su3asym.witten_zeta import (
+    _EM_DEPTH,
+    _g2,
+    _gamma_line,
+    _gamma_negz_line,
+    _pole_weight,
+    _zeta_line,
+)
 
 mp.dps = 60
 
@@ -308,5 +317,131 @@ def test_overlap_strip_routes_agree_within_their_error_estimates(s):
     diff = abs(mb.value - direct.value)
     assert diff <= mb.est_error + direct.est_error, (
         f"s={s}: |mb - direct| = {mp.nstr(diff, 3)} exceeds "
+        f"est_error(mb) + est_error(direct) = {mp.nstr(mb.est_error + direct.est_error, 3)}"
+    )
+
+
+# -- the pole-corrected trapezoid rule of the continuation -----------------------
+#
+# On the line z = c + i t the continuation sums T = (h/(2 pi)) sum_k f(c + i k h)
+# and subtracts sum_p Res_p * _pole_weight(z_p, c, h) over the poles of f.
+
+
+def test_pole_weight_reproduces_the_lorentzian_trapezoid_sum():
+    # f(z) = 1/(a^2 - (z-c)^2) is 1/(t^2 + a^2) on the line, whose trapezoid
+    # sum is h sum_k 1/((kh)^2 + a^2) = (pi/a) coth(pi a/h) and whose integral
+    # is pi/a; the residues are +1/(2a) at c - a and -1/(2a) at c + a
+    mp.dps = 40
+    c, h, a = mpf("2.5"), mpf("0.25"), mpf("0.6")
+    trapezoid = mp.coth(mp.pi * a / h) / (2 * a)
+    integral = 1 / (2 * a)
+    correction = (_pole_weight(c - a, c, h) - _pole_weight(c + a, c, h)) / (2 * a)
+    assert abs(correction) > mpf("1e-7")  # the check below is not vacuous
+    assert abs(trapezoid - integral - correction) < mpf("1e-38")
+
+
+def test_pole_weight_handles_complex_poles_on_either_side():
+    # f(z) = e^((z-c)^2) / ((z-p)(z-q)) = e^(-t^2) / ... on the line, with
+    # p left of it and q right of it, both off the real axis; the trapezoid
+    # error of e^(-t^2) alone is about 2 e^(-pi^2/h^2) < 1e-47
+    mp.dps = 40
+    c, h = mpf("1.5"), mpf("0.3")
+    p, q = mpc("0.8", "0.37"), mpc("2.3", "-1.13")
+
+    def f(z):
+        return mp.exp((z - c) ** 2) / ((z - p) * (z - q))
+
+    trapezoid = h / (2 * mp.pi) * mp.fsum(f(c + mpc(0, k) * h) for k in range(-60, 61))
+    integral = mp.quad(lambda t: f(c + mpc(0, t)), [-mp.inf, 0, mp.inf]) / (2 * mp.pi)
+    res_p = mp.exp((p - c) ** 2) / (p - q)
+    res_q = mp.exp((q - c) ** 2) / (q - p)
+    correction = res_p * _pole_weight(p, c, h) + res_q * _pole_weight(q, c, h)
+    assert abs(correction) > mpf("1e-8")
+    assert abs(trapezoid - integral - correction) < mpf("1e-34")
+
+
+def _mb_honesty_points():
+    """(s, M) pairs, built at 30 digits so that a point reads the same at
+    every higher precision."""
+    with mp.workdps(30):
+        # in each region of Re s one real and one complex point, seeded
+        rng = random.Random(20141)
+        points = []
+        for lo, hi in [(1.1, 2.0), (0.05, 1.05), (-2.4, -0.1)]:
+            points.append((mpf(round(rng.uniform(lo, hi), 4)), None))
+            points.append((mpc(round(rng.uniform(lo, hi), 4), round(rng.uniform(-3, 3), 4)), None))
+        points += [
+            (mpf(-2), None),  # integer point: evaluated at s + epsilon
+            (mpf(2) / 3 + mpf("1e-5"), None),  # near the pole at 2/3
+            (mpf(1) / 2 + mpf("2e-6"), None),  # near the pole at 1/2
+            (mpf(-3) / 2 + mpf("2e-6"), None),  # near the pole at -3/2
+            (mpf("-0.3"), 3),  # a Gamma(s+z) pole 2.2 left of the line
+            (mpf("0.2"), 2),  # Gamma(s+z) poles 1.7 and 2.7 left of the line
+        ]
+    return points
+
+
+def test_mb_error_claim_holds_against_reruns():
+    # each value at 60 and 30 digits against a rerun at 2 * dps + 20 digits
+    # at the point the continuation evaluated; integer points move by an
+    # epsilon that depends on the precision, elsewhere the 140-digit rerun
+    # also serves the 30-digit value
+    for s, M in _mb_honesty_points():
+        reruns = {}
+        for dps in (60, 30):
+            mp.dps = dps
+            res = omega_result(s, method="mb", M=M)
+            if res.s_evaluated not in reruns:
+                mp.dps = 2 * dps + 20
+                reruns[res.s_evaluated] = omega_result(res.s_evaluated, method="mb", M=M).value
+                mp.dps = dps
+            err = abs(res.value - reruns[res.s_evaluated])
+            assert err <= res.est_error, (
+                f"s={s}, M={M}, dps={dps}: |value - rerun| = {mp.nstr(err, 3)} exceeds "
+                f"est_error {mp.nstr(res.est_error, 3)}"
+            )
+
+
+def test_mb_contour_lines_stay_short(monkeypatch):
+    # at 60 digits the pole-corrected rule runs at the step cap _QUAD_STEP, so
+    # omega(0.8) needs at most 110 nodes per line (an uncorrected rule, whose
+    # step the Gamma(-z) poles half a unit from the line cap, needs over 400)
+    mp.dps = 60
+    monkeypatch.setattr(witten_zeta, "_NEGZ_CACHE", {})
+    nodes = []
+
+    def counting_gamma_line(a0, h, K, k0=0):
+        nodes.append(K + 1 - k0)
+        return _gamma_line(a0, h, K, k0)
+
+    monkeypatch.setattr(witten_zeta, "_gamma_line", counting_gamma_line)
+    omega_result(mpf("0.8"), method="mb")
+    assert nodes and max(nodes) <= 110, nodes
+
+
+def test_negz_cache_keeps_one_precision(monkeypatch):
+    monkeypatch.setattr(witten_zeta, "_NEGZ_CACHE", {})
+    h = mpf("0.25")
+    mp.dps = 34
+    _gamma_negz_line(2, h, 10)
+    _gamma_negz_line(3, h, 10)
+    assert len(witten_zeta._NEGZ_CACHE) == 2
+    mp.dps = 60
+    _gamma_negz_line(2, h, 10)
+    assert list(witten_zeta._NEGZ_CACHE) == [(2, 0.25, mp.prec)]
+
+
+def test_mb_and_direct_agree_at_large_imaginary_part():
+    # the two routes share no code, so this checks the direct route's claim
+    # where its rerun (same P and R) cannot; the continuation's own claim is
+    # about 1e50 here, since its quadrature target is absolute and |Gamma(s)|
+    # is about 1e-75, so for now the bound is wide
+    mp.dps = 60
+    s = mpc(4, 120)
+    mb = omega_result(s, method="mb")
+    direct = omega_result(s, method="direct")
+    diff = abs(mb.value - direct.value)
+    assert diff <= mb.est_error + direct.est_error, (
+        f"|mb - direct| = {mp.nstr(diff, 3)} exceeds "
         f"est_error(mb) + est_error(direct) = {mp.nstr(mb.est_error + direct.est_error, 3)}"
     )
