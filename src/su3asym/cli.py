@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--M",
         type=int,
         default=None,
-        help="number of explicit terms in the continuation's finite sum (default: chosen from Re s)",
+        help="contour shift of the continuation: it integrates on Re z = M - 1/2 and needs "
+        "3/4 - M/2 < Re s < M + 1/2 (default: chosen from Re s)",
     )
     p_om.add_argument(
         "--verify-zeros",

@@ -166,16 +166,6 @@ class PowerSeries:
             q[k] = acc if trivial_pivot else acc / b0
         return PowerSeries(q, val, order)
 
-    # -- calculus ------------------------------------------------------------
-
-    def integrate(self) -> "PowerSeries":
-        """Termwise antiderivative with zero constant term (valuation must be > -1)."""
-        a = self.normalized() if self.valuation < 0 else self
-        if a.valuation < 0:
-            raise ValueError("cannot integrate a series containing x^(-1)")
-        coeffs = [c / (a.valuation + i + 1) for i, c in enumerate(a.coeffs)]
-        return PowerSeries(coeffs, a.valuation + 1, a.order + 1)
-
     # -- analytic operations ---------------------------------------------------
 
     def exp(self) -> "PowerSeries":
@@ -228,20 +218,6 @@ class PowerSeries:
                 raise ValueError("pow_real requires positive valuation of (series - 1)")
             upow = nxt
         return result.truncate(order)
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(x)); inner must have valuation >= 1."""
-        b = inner.normalized()
-        if b.valuation < 1:
-            raise ValueError("composition requires inner valuation >= 1")
-        if self.valuation < 0:
-            raise ValueError("composition of Laurent series is not supported")
-        order = min(b.order, b.valuation * self.order)
-        zero = self.coeffs[0] * 0 if self.coeffs else 0
-        acc = PowerSeries.constant(zero, order)
-        for k in range(self.order - 1, -1, -1):
-            acc = (acc * b).truncate(order) + self._at(k)
-        return acc.truncate(order)
 
     # -- display ---------------------------------------------------------------
 

@@ -9,13 +9,23 @@ integers (the "trivial zeros").
 
 Two independent evaluation routes are provided and cross-checked:
 
-* the direct route (``method="direct"``) -- the lattice sum over a finite
-  block, with the two one-dimensional tails and the outer corner accelerated
-  by Euler-Maclaurin corrections.  All tail integrals reduce to the
+* the direct route (``method="direct"``) -- the lattice sum over the block
+  j, k <= P, with the two edge strips {j <= P < k} accelerated by
+  Euler-Maclaurin corrections in k.  The tail integrals reduce to the
   incomplete-beta-type function G2(a; s, w) = integral over t in [a, oo) of
   t^(-s) (1+t)^(-w) dt, which by the Euler integral is one Gauss
   hypergeometric function, G2(1/x; s, w) = x^e 2F1(w, e; e+1; -x) / e with
-  e = s + w - 1 (mpmath's hyp2f1).  Valid for Re(s) >= 1.1.
+  e = s + w - 1 (mpmath's hyp2f1).  The corner {j, k > P} is the diagonal
+  plus twice the triangle P < j < k; Euler-Maclaurin from k = j makes each
+  row a finite sum of powers of j, so the corner is a list of Hurwitz zeta
+  values zeta(x, P+1) (DLMF 25.11):
+
+      corner = 2 G2(1; s, s) zeta(3s-1, P+1)
+               - 2^(1-s) sum_{r=1}^{R} (B_2r/(2r)) d_(2r-1) zeta(3s+2r-1, P+1),
+
+  d_q the Taylor coefficients of (1+u)^(-s) (1+u/2)^(-s); the double series
+  is the SU(3) Witten zeta of Romik (Acta Arith. 2017).  Valid for
+  Re(s) >= 1.1.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -62,7 +72,6 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .precision import working_digits
-from .series import PowerSeries
 from .special_functions import (
     _to_mp,
     bernoulli_fraction,
@@ -207,7 +216,10 @@ def _direct_result(s) -> OmegaResult:
     wd = max(30, prec // 2 + 18) + guard
     with mp.workdps(wd):
         value, est = _direct_eval(+s0)
-    return OmegaResult(s=s0, s_evaluated=s0, value=+value, method="direct", est_error=+est)
+    value = +value
+    # the rounding of the returned value: half an ulp
+    est += abs(value) * mpf(2) ** -mp.prec
+    return OmegaResult(s=s0, s_evaluated=s0, value=value, method="direct", est_error=+est)
 
 
 def _direct_eval(s):
@@ -215,8 +227,8 @@ def _direct_eval(s):
 
     Splits the lattice into the exact block {j, k <= P}, two symmetric edge
     strips {j <= P < k} handled row-by-row with Euler-Maclaurin tails in k,
-    and the corner {j, k > P} handled by a second Euler-Maclaurin pass over j
-    applied to the (analytic in j) inner tail formula.
+    and the corner {j, k > P}, whose rows' Euler-Maclaurin forms sum over j
+    to Hurwitz zeta values.
     """
     P = _DIRECT_P
     R = _DIRECT_R
@@ -241,14 +253,7 @@ def _direct_eval(s):
         acc += pj * (2 * row + pj * pw[2 * j])
 
     bern_over = [None] + [bernoulli_mpf(2 * r) / (2 * r) for r in range(1, R + 1)]
-    bern_fact = [None] + [
-        bernoulli_mpf(2 * r) / mpf(math.factorial(2 * r)) for r in range(1, R + 1)
-    ]
     bern_next = abs(bernoulli_mpf(2 * R + 2) / (2 * R + 2))
-    # falling factorials (-s)(-s-1)...(-s-i+1) for i = 0..2R-1
-    falling = [one]
-    for i in range(2 * R - 1):
-        falling.append(falling[-1] * (-s - i))
 
     # edge strips: for each row j <= P the inner sum over k > P, with the
     # explicit range P < k <= K_j = max(P, 2j) summed directly so that the
@@ -304,73 +309,26 @@ def _direct_eval(s):
         acc += 2 * pj * (integral - base / 2 - base * corr)
         est += abs(2 * pj * base * bern_next * last)
 
-    # corner j, k > P: Euler-Maclaurin over j applied to
-    # h(j) = j^(-s) * [tail over k > P of k^(-s) (j+k)^(-s)],
-    # itself written through its own Euler-Maclaurin form so that the exact
-    # j-integral reduces to the ladder G2(1; s, s + q), q < 2R, one 2F1 each.
-    ladder = [_g2(s, s + q, 1) for q in range(2 * R)]
-    gfrak = ladder[0]
-    lnP = mp.ln(P)
-    Pm2 = mpf(P) ** (-2)
-    base23 = mp.exp((2 - 3 * s) * lnP)
-    integral_h = base23 * 2 * gfrak / (3 * s - 2) - mp.exp((1 - 3 * s) * lnP) * gfrak / 2
-    scale = base23
-    for r in range(1, R + 1):
-        scale *= Pm2
-        inner = 0
-        for i in range(2 * r):
-            inner += (
-                math.comb(2 * r - 1, i)
-                * falling[i]
-                * falling[2 * r - 1 - i]
-                * ladder[2 * r - 1 - i]
-            )
-        integral_h -= bern_fact[r] * scale * inner
-
-    # Taylor series of h(P + u) in u, through u^(2R+1)
-    u1 = PowerSeries(tuple(at_P), 0, n_ord)
-    u3 = PowerSeries(tuple(_binom_series(1 - 3 * s, 1 / mpf(P), n_ord, one)), 0, n_ord)
-    # A(delta) = int_0^delta (1+t)^(-s) (2+t)^(-s) dt, then delta = tau(u)
-    pa = _binom_series(-s, one, n_ord, one)
-    pb = _binom_series(-s, one / 2, n_ord, one)
-    integrand = PowerSeries(tuple(_convolve(pa, pb, n_ord)), 0, n_ord)
-    a_series = integrand.integrate().truncate(n_ord).scalar_mul(mp.exp(-s * mp.ln(mpf(2))))
-    tau = PowerSeries(
-        tuple((-1) ** q * mpf(P) ** (-q) * one for q in range(1, n_ord)), 1, n_ord
-    )
-    a_comp = a_series.compose(tau)
-    g_const = PowerSeries.constant(gfrak * one, n_ord)
-    piece1 = (u3 * (g_const - a_comp)).scalar_mul(mp.exp((1 - 3 * s) * lnP))
-    u4 = [
-        PowerSeries(tuple(_binom_series(-s - q, 1 / mpf(2 * P), n_ord, one)), 0, n_ord)
-        for q in range(2 * R)
-    ]
-    piece2 = (u1 * u4[0]).scalar_mul(
-        mp.exp(-2 * s * lnP) * mp.exp(-s * mp.ln(mpf(2 * P))) / 2
-    )
-    mix = PowerSeries.constant(0 * one, n_ord)
-    for q in range(2 * R):
-        cq = 0
-        for r in range((q + 2) // 2, R + 1):
-            if 2 * r - 1 < q:
-                continue
-            cq += (
-                bern_fact[r]
-                * math.comb(2 * r - 1, q)
-                * falling[2 * r - 1 - q]
-                * falling[q]
-                * mp.exp((-s - (2 * r - 1 - q)) * lnP)
-            )
-        if cq != 0:
-            mix = mix + u4[q].scalar_mul(cq * mp.exp((-s - q) * mp.ln(mpf(2 * P))))
-    piece3 = (u1 * mix).scalar_mul(mp.exp(-s * lnP))
-    h_series = piece1 - piece2 - piece3
-    corner = integral_h - h_series.coeff(0) / 2
-    for r in range(1, R + 1):
-        corner -= bern_over[r] * h_series.coeff(2 * r - 1)
-    est += abs(bern_next * h_series.coeff(2 * R + 1))
-    acc += corner
-
+    # corner j, k > P: the diagonal 2^(-s) zeta(3s, P+1) plus twice the
+    # triangle P < j < k.  Row j of the triangle is Euler-Maclaurin from k = j
+    # on f_j(j + u) = 2^(-s) j^(-2s) sum_q d_q (u/j)^q, d_q the coefficients of
+    # (1+u)^(-s) (1+u/2)^(-s) (radius j > P, as on the strips):
+    #   sum_{k>j} f_j(k) = G2(1; s, s) j^(1-2s) - 2^(-s) j^(-2s) / 2
+    #                      - 2^(-s) sum_r B_2r/(2r) d_(2r-1) j^(1-2s-2r),
+    # so the sum over j > P is a list of Hurwitz zeta values zeta(x, P+1)
+    # (DLMF 25.11), and the diagonal cancels the f_j(j)/2 terms.
+    d_odd = _convolve(beta, _binom_series(-s, one / 2, n_ord, one), n_ord, range(1, n_ord, 2))
+    two_1ms = 2 * mp.exp(-s * mp.ln(2))  # 2^(1-s)
+    coeffs = [2 * _g2(s, s, 1)] + [-two_1ms * bern_over[r] * d_odd[r - 1] for r in range(1, R + 1)]
+    coeffs.append(two_1ms * bern_next * d_odd[R])  # the first omitted term
+    # mpmath's zeta(x, a) is accurate to 2^-prec in absolute terms only, and
+    # zeta(3s+2r-1, P+1) is tiny: raise its precision by the coefficients' size
+    guard = 5 + max(0, int(mp.log10(max(abs(c) for c in coeffs))))
+    with mp.workdps(mp.dps + guard):
+        hurwitz = [mp.zeta(3 * s + 2 * r - 1, P + 1) for r in range(R + 2)]
+    for c, z in zip(coeffs[:-1], hurwitz):
+        acc += c * z
+    est += abs(coeffs[-1] * hurwitz[-1])
     est += tol * (P + 4)
     return acc, est
 

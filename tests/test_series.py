@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,33 +103,6 @@ def test_pow_real_binomial_series():
     assert abs(sq.coeff(0) - 1) < mpf("1e-50")
     assert abs(sq.coeff(1) - 1) < mpf("1e-50")
     assert all(abs(sq.coeff(k)) < mpf("1e-50") for k in range(2, sq.order))
-
-
-def test_integrate_matches_hand_antiderivative():
-    # 3 + x + 4x^2 + x^3 + 5x^4 integrates to 3x + x^2/2 + 4x^3/3 + x^4/4 + x^5
-    f = PowerSeries([Fraction(c) for c in (3, 1, 4, 1, 5)], order=5)
-    g = f.integrate()
-    assert (g.valuation, g.order) == (1, 6)
-    assert [g.coeff(k) for k in range(6)] == [
-        0, 3, Fraction(1, 2), Fraction(4, 3), Fraction(1, 4), 1
-    ]
-    # a stored zero at x^-1 is trimmed first; a nonzero one has no antiderivative
-    h = PowerSeries([Fraction(0), Fraction(2), Fraction(3)], -1, 2).integrate()
-    assert (h.valuation, h.order) == (1, 3)
-    assert [h.coeff(1), h.coeff(2)] == [2, Fraction(3, 2)]
-    with pytest.raises(ValueError):
-        PowerSeries([Fraction(1), Fraction(2)], -1, 1).integrate()
-
-
-def test_compose_substitutes_inner_series():
-    # exp(x) composed with 2x^2 = exp(2x^2): coefficient of x^(2k) is 2^k / k!
-    outer = mpf_identity(10).exp()
-    inner = PowerSeries([mpf(2)] + [mpf(0)] * 7, 2, 10)
-    comp = outer.compose(inner)
-    for k in range(5):
-        assert abs(comp.coeff(2 * k) - mpf(2) ** k / math.factorial(k)) < mpf("1e-50")
-        if 2 * k + 1 < comp.order:
-            assert abs(comp.coeff(2 * k + 1)) < mpf("1e-50")
 
 
 def test_drop_below_and_truncate():
