@@ -6,7 +6,7 @@ Subcommands
 ``rn``
     Exact values of r(n) (the number of SU(3) representations of dimension n)
     for n = 0..N, as CSV or JSON, with an optional cross-check against the
-    independent exact-rational reconstruction.
+    independent exact-integer reconstruction through exp(log G).
 
 ``omega``
     Evaluate omega(s) = sum_{j,k>=1} 1/(j^s k^s (j+k)^s) at a point (direct
@@ -50,7 +50,7 @@ from .witten_zeta import WittenZetaPoleError, omega_result, trivial_zeros, verif
 __all__ = ["main"]
 
 #: Cap on the prefix length re-checked by ``rn --oracle-check``: the
-#: exact-rational reconstruction costs O(N^2) big-rational operations, so the
+#: exp(log G) reconstruction costs O(N^2) big-integer products, so the
 #: cross-check is run on min(N, _ORACLE_CHECK_CAP) terms.
 _ORACLE_CHECK_CAP = 400
 
@@ -205,7 +205,7 @@ def _cmd_compare(args) -> int:
         fit = table.fitted_exponent.get(row.L)
         fit_str = "" if fit is None else f"{fit!r}"
         counted = (row.log_r_exact, row.ratio, row.residual_scaled)
-        if row.n > EXACT_LIMIT:
+        if row.source == "float64":
             # float64 count: log r(n) holds 15 significant digits, and the
             # ratio and residual (both of order 1) share its absolute error,
             # so all three stop at its last justified decimal place
@@ -261,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rn.add_argument(
         "--oracle-check",
         action="store_true",
-        help=f"re-derive the first min(N, {_ORACLE_CHECK_CAP}) values with exact rational "
-        "arithmetic through the exp of the logarithmic generating series and compare",
+        help=f"re-derive the first min(N, {_ORACLE_CHECK_CAP}) values in exact integers "
+        "through the exp of the logarithmic generating series and compare",
     )
     p_rn.set_defaults(func=_cmd_rn)
 

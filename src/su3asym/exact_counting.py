@@ -12,15 +12,14 @@ is the Euler product
     G(q) = prod_{j,k >= 1} (1 - q^(j k (j+k)/2))^(-1)
          = prod_d (1 - q^d)^(-mult(d)),   sum_n r(n) q^n = G(q).
 
-Everything here but the float64 fallback is exact integer / rational
-arithmetic:
+Everything here but the float64 fallback is exact integer arithmetic:
 
 * :func:`su3_parts` enumerates (d, mult(d)) up to a limit,
 * :func:`r_exact` runs the Euler-product DP ``_euler_product`` on them in
   exact integers (with a guard cap on the range),
-* :func:`r_exact_via_exp` recomputes r(n) through exp(log G) on exact
-  rational power series — an algorithmically independent route used by the
-  CLI ``--oracle-check`` and the tests,
+* :func:`r_exact_via_exp` recomputes r(n) through exp(log G) by the
+  integer recurrence n r(n) = sum_k sigma(k) r(n-k) — an algorithmically
+  independent route used by the CLI ``--oracle-check`` and the tests,
 * :func:`p_exact` / :func:`hr_estimate` are the ordinary-partition analogue
   and its Hardy-Ramanujan first-order estimate (useful as a sanity anchor),
 * :func:`log_r_float64` is the same DP in float64 for n beyond the exact cap,
@@ -29,11 +28,7 @@ arithmetic:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from mpmath import mp, mpf
-
-from .series import PowerSeries
 
 # r_exact refuses ranges beyond this: above it the big-int DP still works but
 # runtime/memory grow quickly, and callers want the float64 route instead.
@@ -96,27 +91,27 @@ def r_exact(limit: int) -> list[int]:
 
 
 def r_exact_via_exp(limit: int) -> list[int]:
-    """[r(0), ..., r(limit)] via exp(log G) in exact rational arithmetic.
+    """[r(0), ..., r(limit)] via exp(log G), in exact integers.
 
-    log G(q) = sum_{d, mult} mult * sum_{i >= 1} q^(d i) / i; exponentiating
-    this series with Fraction coefficients must return integers — a structural
-    cross-check of both routes, which share no code path beyond su3_parts.
+    log G(q) = sum_k a_k q^k with k a_k = sigma(k) = sum_{d | k} d mult(d),
+    an integer, so the exp recurrence of :meth:`PowerSeries.exp` reads
+    n r(n) = sum_{k=1..n} sigma(k) r(n-k).  Every division by n must be
+    exact: a structural cross-check of both routes, which share no code path
+    beyond su3_parts.
     """
-    order = limit + 1
-    log_coeffs = [Fraction(0)] * order
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    sigma = [0] * (limit + 1)
     for d, mult in su3_parts(limit):
-        i = 1
-        while d * i <= limit:
-            log_coeffs[d * i] += Fraction(mult, i)
-            i += 1
-    series = PowerSeries(log_coeffs, 0, order).exp()
-    out = []
-    for n in range(order):
-        c = series.coeff(n)
-        if c.denominator != 1:
-            raise ArithmeticError(f"exp(log G) coefficient at q^{n} is not an integer: {c}")
-        out.append(int(c))
-    return out
+        for k in range(d, limit + 1, d):
+            sigma[k] += d * mult
+    r = [1]
+    for n in range(1, limit + 1):
+        q, rem = divmod(sum(sigma[k] * r[n - k] for k in range(1, n + 1)), n)
+        if rem:
+            raise ArithmeticError(f"exp(log G) coefficient at q^{n} is not an integer")
+        r.append(q)
+    return r
 
 
 # -- ordinary partitions (sanity anchor) --------------------------------------

@@ -57,8 +57,9 @@ class ComparisonRow:
 
     ``ratio`` is r(n) / asymptotic, ``residual_scaled`` is
     R_L(n) = r(n) n^(3/5) / A(n) - sum_{j<=L} C_j n^(-j/10), and
-    ``log_r_exact`` comes from the big-integer count (or the float64
-    log-domain fallback beyond the exact cap, when requested).
+    ``log_r_exact`` comes from the big-integer count (``source`` "exact") or,
+    beyond the exact cap when requested, from the float64 log-domain count
+    (``source`` "float64", good to about 15 significant digits).
     """
 
     n: int
@@ -67,6 +68,7 @@ class ComparisonRow:
     log_r_asym: mpf
     ratio: mpf
     residual_scaled: mpf
+    source: str
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ def expansion_residual(z, eta):
 
 
 def _log_r_values(n_list, approx_beyond_exact: bool):
-    """log r(n) for each requested n: exact big-int DP, float64 fallback beyond."""
+    """(log r(n), source) for each requested n: exact big-int DP, float64 beyond."""
     exact_ns = [n for n in n_list if n <= EXACT_LIMIT]
     large_ns = [n for n in n_list if n > EXACT_LIMIT]
     if large_ns and not approx_beyond_exact:
@@ -243,11 +245,11 @@ def _log_r_values(n_list, approx_beyond_exact: bool):
     if exact_ns:
         r = r_exact(max(exact_ns))
         for n in exact_ns:
-            out[n] = mp.log(mpf(r[n]))
+            out[n] = (mp.log(mpf(r[n])), "exact")
     if large_ns:
         logs = log_r_float64(max(large_ns))
         for n in large_ns:
-            out[n] = mpf(float(logs[n]))
+            out[n] = (mpf(float(logs[n])), "float64")
     return out
 
 
@@ -273,10 +275,11 @@ def compare_table(n_list, L_max: int, approx_beyond_exact: bool = False) -> Comp
     residuals = {L: [] for L in range(L_max + 1)}
     with mp.workdps(prec + 10):
         for n in n_list:
+            log_r_n, source = log_r[n]
             log_a = big_A(n)
             root = mpf(n) ** (-mpf(1) / 10)
             # r(n) n^(3/5) / A(n), the quantity the C-series approximates
-            scaled = mp.exp(log_r[n] + mpf(3) / 5 * mp.log(n) - log_a)
+            scaled = mp.exp(log_r_n + mpf(3) / 5 * mp.log(n) - log_a)
             csum = mpf(0)
             for L in range(L_max + 1):
                 csum += cs[L] * root**L
@@ -286,10 +289,11 @@ def compare_table(n_list, L_max: int, approx_beyond_exact: bool = False) -> Comp
                     ComparisonRow(
                         n=n,
                         L=L,
-                        log_r_exact=+log_r[n],
+                        log_r_exact=+log_r_n,
                         log_r_asym=+log_asym,
-                        ratio=+mp.exp(log_r[n] - log_asym),
+                        ratio=+mp.exp(log_r_n - log_asym),
                         residual_scaled=+r_l,
+                        source=source,
                     )
                 )
                 residuals[L].append((n, r_l))

@@ -18,7 +18,13 @@ whose ingredients are computed symbolically to any order:
 
 * ``saddle_series`` -- the saddle-point function S(x) = 1 + sum rho(m) x^m
   solving  F(S(x); x) = 0  for  F(z; w) = -2X^2 z^(-5/3) + Y w / (2X z^(3/2))
-  + 2X^2, found by Newton iteration on truncated power series.
+  + 2X^2.  With S = w^6 this is the trinomial w^10 = 1 - (Y/(4X^3)) x w, so
+  S = B_{1/10}(-Y x/(4X^3))^(3/5) with B_t the generalized binomial series
+  (Graham, Knuth, Patashnik, Concrete Mathematics, Sec. 5.4, eq. 5.60):
+
+      rho(k) = 6/(k+6) * binom((k+6)/10, k) * (-Y/(4X^3))^k,
+
+  which vanishes exactly for k = 4 (mod 10).
 
 * ``nu_coeff`` -- the coefficients of the generating-function expansion
 
@@ -158,56 +164,38 @@ def _check_saddle_order(order: int) -> None:
         raise ValueError("order must be a positive integer")
     if order > MAX_SADDLE_ORDER:
         raise ValueError(
-            f"order {order} exceeds {MAX_SADDLE_ORDER}; the Newton iteration "
-            "loses roughly one digit per order, so raise the working precision "
+            f"order {order} exceeds {MAX_SADDLE_ORDER}; the series pipeline carries "
+            "guard digits in proportion to the order, so raise the working precision "
             "(set_working_digits / RN_PREC) and lift MAX_SADDLE_ORDER deliberately"
         )
 
 
-def _saddle_F(g: PowerSeries, x: PowerSeries, X, Y) -> PowerSeries:
-    """F(g(x); x) = -2X^2 g^(-5/3) + Y x g^(-3/2) / (2X) + 2X^2."""
-    t1 = g.pow_real(mpf(-5) / 3).scalar_mul(-2 * X**2)
-    t2 = (g.pow_real(mpf(-3) / 2) * x).scalar_mul(Y / (2 * X))
-    return (t1 + t2).truncate(g.order) + 2 * X**2
-
-
 def _saddle_series_raw(order: int, X, Y) -> PowerSeries:
-    """S as a PowerSeries with mpf coefficients, correct through x^order."""
-    target = order + 1  # truncation order (exclusive)
-    one = mpf(1)
-    g = PowerSeries([one], 0, 1)
-    m = 0  # correct through exponent m
-    while m < order:
-        m2 = min(2 * m + 1, order)
-        o2 = m2 + 1
-        pad = o2 - g.order
-        gk = PowerSeries(tuple(g.coeffs) + (mpf(0),) * pad, 0, o2)
-        x = PowerSeries.identity(o2, one)
-        F = _saddle_F(gk, x, X, Y)
-        Fz = gk.pow_real(mpf(-8) / 3).scalar_mul(10 * X**2 / 3) - (
-            gk.pow_real(mpf(-5) / 2) * x
-        ).scalar_mul(3 * Y / (4 * X))
-        # the residual is O(x^(m+1)) analytically; what is stored below that
-        # exponent is roundoff dust
-        step = (F.drop_below(m + 1) / Fz.truncate(o2)).truncate(o2)
-        g = (gk - step).truncate(o2)
-        m = m2
-    return g.truncate(target)
+    """S as a PowerSeries with mpf coefficients through x^order (closed form).
+
+    binom((k+6)/10, k) = prod_{i<k} (k+6-10i) / (10^k k!) is exact in integers,
+    so rho(0) is exactly 1 and rho(k) exactly 0 for k = 4 (mod 10).
+    """
+    c = -Y / (4 * X**3)
+    coeffs = []
+    for k in range(order + 1):
+        top = 6 * math.prod(k + 6 - 10 * i for i in range(k))
+        coeffs.append(mpf(top) / ((k + 6) * 10**k * math.factorial(k)) * c**k)
+    return PowerSeries(coeffs, 0, order + 1)
 
 
 def saddle_series(order: int) -> SaddleSeries:
     """The saddle-point function S(x) = 1 + sum_{m>=1} rho(m) x^m.
 
-    Solves F(S(x); x) = 0 by Newton iteration on truncated series; the
-    residual series of the returned solution vanishes to the requested
-    order.
+    The coefficients are the closed form of the module docstring; the
+    residual series F(S(x); x) vanishes to the requested order.
     """
     _check_saddle_order(order)
     prec = working_digits()
     cst = constants()
     with mp.workdps(prec + 15 + order):
         g = _saddle_series_raw(order, cst.X, cst.Y)
-        rho = tuple(+mp.re(g.coeff(k)) for k in range(order + 1))
+        rho = tuple(+c for c in g.coeffs)
     return SaddleSeries(rho=rho, order=order)
 
 

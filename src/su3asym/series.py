@@ -7,19 +7,17 @@ consistently, so the order of a result is always a guaranteed bound on what is
 actually known.  Valuations may be negative (Laurent tails), produced with
 :meth:`PowerSeries.shift`.
 
-Coefficients are generic: any ring whose elements support the exact tests
-``c == 0`` and ``c == 1``, give their unit as ``c * 0 + 1``, and have ring
-arithmetic (with the int 0 on either side, as missing coefficients read 0)
-and division by Python ints.  A series division whose leading coefficient is
-not exactly 1 also divides by that coefficient.  Exact coefficient types
-(``int``, ``Fraction``) stay exact through every operation here, including
-``exp``/``pow_real``.
+Coefficients are mpmath ``mpf``/``mpc`` values or
+:class:`~su3asym.xpoly.XPolynomial` polynomials with such coefficients (the
+saddle pipeline), or ``Fraction`` values, which stay exact through every
+operation here (the exact tests).  Missing coefficients read as the int 0.
 
-The analytic operations follow the classical recurrences:
+The analytic operations follow the classical O(n^2) recurrences:
 
 * ``exp``:  E' = a' E, i.e.  n e_n = sum_{k=1..n} k a_k e_{n-k},
-* ``pow_real``:  (1+u)^alpha = sum_k binom(alpha, k) u^k  with the binomials
-  built incrementally (works for any scalar exponent, including non-real).
+* ``pow_real``:  B = A^alpha with a_0 = 1 satisfies A B' = alpha A' B, i.e.
+  n b_n = sum_{k=1..n} ((alpha+1) k - n) a_k b_{n-k}  (J. C. P. Miller; Knuth,
+  TAOCP Vol. 2, Sec. 4.7), for any scalar exponent, including non-real.
 """
 
 from __future__ import annotations
@@ -64,16 +62,6 @@ class PowerSeries:
             return 0
         return self.coeffs[k - self.valuation]
 
-    def normalized(self) -> "PowerSeries":
-        """Drop leading coefficients that are exactly zero (raises the valuation)."""
-        i = 0
-        cs = self.coeffs
-        while i < len(cs) and cs[i] == 0:
-            i += 1
-        if i == 0:
-            return self
-        return PowerSeries(cs[i:], self.valuation + i, self.order)
-
     def truncate(self, order: int) -> "PowerSeries":
         """Restrict to a (weaker or equal) truncation order."""
         if order >= self.order:
@@ -85,15 +73,10 @@ class PowerSeries:
         """Multiply by x^k (k may be negative, producing Laurent exponents)."""
         return PowerSeries(self.coeffs, self.valuation + k, self.order + k)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def drop_below(self, exponent: int) -> "PowerSeries":
         """Discard stored coefficients with exponent < ``exponent``.
 
-        Used when the caller *knows* analytically that those coefficients are
-        zero (e.g. Newton-iteration residuals) even though, in floating rings,
-        they are held as roundoff dust that plain :meth:`normalized` must keep.
+        Used to split a Laurent series into its singular part and the rest.
         """
         if exponent <= self.valuation:
             return self
@@ -118,14 +101,6 @@ class PowerSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.valuation, self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            other = PowerSeries.constant(other, self.order)
-        return self + (-other)
-
     def scalar_mul(self, c) -> "PowerSeries":
         return PowerSeries([c * a for a in self.coeffs], self.valuation, self.order)
 
@@ -147,77 +122,44 @@ class PowerSeries:
                 out[i + j] = out[i + j] + ca * b.coeffs[j]
         return PowerSeries(out, val, order)
 
-    def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        a, b = self.normalized(), other.normalized()
-        if not b.coeffs or b.coeffs[0] == 0:
-            raise ZeroDivisionError("division by a series with no invertible leading coefficient")
-        b0 = b.coeffs[0]
-        trivial_pivot = b0 == 1
-        order = min(a.order - b.valuation, a.valuation + b.order - 2 * b.valuation)
-        val = a.valuation - b.valuation
-        n = order - val
-        if n <= 0:
-            return PowerSeries([], val, order)
-        q = [0] * n
-        for k in range(n):
-            acc = a._at(val + k + b.valuation)
-            for i in range(max(0, k - len(b.coeffs) + 1), k):
-                acc = acc - q[i] * b.coeffs[k - i]
-            q[k] = acc if trivial_pivot else acc / b0
-        return PowerSeries(q, val, order)
-
     # -- analytic operations ---------------------------------------------------
 
     def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term (valuation >= 1 after trimming)."""
-        a = self.normalized()
-        if a.valuation < 1:
+        """exp of a series whose coefficients up to x^0 are exactly zero."""
+        if any(not c == 0 for c in self.coeffs[: max(0, 1 - self.valuation)]):
             raise ValueError("exp requires a series with zero constant term")
-        order = a.order
-        one = a.coeffs[0] * 0 + 1 if a.coeffs else 1
+        order = self.order
+        one = self.coeffs[0] * 0 + 1 if self.coeffs else 1
         e = [one * 0] * max(order, 1)
         e[0] = one
         # n e_n = sum_{k=1}^{n} k a_k e_{n-k}
         for n in range(1, order):
-            acc = None
-            kmax = min(n, a.order - 1)
-            for k in range(a.valuation, kmax + 1):
-                ak = a._at(k)
-                if ak == 0:
-                    continue
-                term = (k * ak) * e[n - k]
-                acc = term if acc is None else acc + term
-            e[n] = (acc / n) if acc is not None else one * 0
+            acc = one * 0
+            for k in range(max(self.valuation, 1), n + 1):
+                ak = self._at(k)
+                if not ak == 0:
+                    acc = acc + (k * ak) * e[n - k]
+            e[n] = acc / n
         return PowerSeries(e[:order], 0, order)
 
     def pow_real(self, alpha) -> "PowerSeries":
-        """Fractional/scalar power via the binomial series.
+        """A^alpha for a series A = 1 + a_1 x + ... (see the module docstring).
 
-        Requires constant coefficient 1 after trimming (factor scalars out
-        yourself; this keeps exact arithmetic exact).  ``alpha`` may be any
-        scalar: int, Fraction, mpf, or complex (the binomial series is formal).
+        Requires valuation 0 and the constant coefficient exactly 1 (factor
+        scalars out yourself; this keeps exact arithmetic exact).  ``alpha``
+        may be any scalar: int, Fraction, mpf or complex.
         """
-        a = self.normalized()
-        if a.valuation != 0 or not a.coeffs[0] == 1:
-            raise ValueError("pow_real requires constant term exactly 1")
-        order = a.order
-        u = (a - 1).normalized()
-        one = a.coeffs[0] * 0 + 1
-        result = PowerSeries.constant(one, order)
-        if u.is_zero() or u.valuation >= order:
-            return result
-        upow = u
-        binom = alpha  # binom(alpha, 1)
-        k = 1
-        while upow.valuation < order:
-            result = result + upow.scalar_mul(binom)
-            binom = binom * (alpha - k) / (k + 1)
-            k += 1
-            nxt = upow * u
-            if nxt.valuation <= upow.valuation:
-                raise ValueError("pow_real requires positive valuation of (series - 1)")
-            upow = nxt
-        return result.truncate(order)
+        if self.valuation < 0 or not self._at(0) == 1:
+            raise ValueError("pow_real requires constant term exactly 1 and no negative powers")
+        a = [self._at(k) for k in range(self.order)]
+        b = [a[0]]
+        for n in range(1, self.order):
+            acc = a[0] * 0
+            for k in range(1, n + 1):
+                if not a[k] == 0:
+                    acc = acc + ((alpha + 1) * k - n) * a[k] * b[n - k]
+            b.append(acc / n)
+        return PowerSeries(b, 0, self.order)
 
     # -- display ---------------------------------------------------------------
 

@@ -11,12 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 from su3asym.precision import working_digits
-from su3asym.saddle_expansion import (
-    _check_saddle_order,
-    _saddle_F,
-    _saddle_series_raw,
-    constants,
-)
+from su3asym.saddle_expansion import _check_saddle_order, _saddle_series_raw, constants
 from su3asym.series import PowerSeries
 
 
@@ -27,6 +22,13 @@ def _restore_precision():
         yield
     finally:
         mp.dps = saved
+
+
+def _saddle_F(g: PowerSeries, x: PowerSeries, X, Y) -> PowerSeries:
+    """F(g(x); x) = -2X^2 g^(-5/3) + Y x g^(-3/2) / (2X) + 2X^2."""
+    t1 = g.pow_real(mpf(-5) / 3).scalar_mul(-2 * X**2)
+    t2 = (g.pow_real(mpf(-3) / 2) * x).scalar_mul(Y / (2 * X))
+    return (t1 + t2).truncate(g.order) + 2 * X**2
 
 
 def _saddle_residual_max(order: int):

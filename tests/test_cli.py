@@ -7,6 +7,8 @@ import json
 from mpmath import mp, mpc, mpf
 
 from su3asym.cli import main
+from su3asym.exact_counting import EXACT_LIMIT
+from su3asym.harness import compare_table
 from su3asym.witten_zeta import omega_result
 
 
@@ -183,3 +185,35 @@ def test_prec_floor_enforced(capsys):
     rc, _, err = run(capsys, "constants", "--prec", "10")
     assert rc == 2
     assert "working precision" in err
+
+
+def test_compare_formats_each_row_by_its_count_source(capsys):
+    # the harness decides which rows are counted in float64; the CLI prints
+    # those to 15 significant digits and the exact rows to full precision
+    n_list = [2000, EXACT_LIMIT + 1]
+    table = compare_table(n_list, 1, approx_beyond_exact=True)
+    assert [(row.n, row.source) for row in table.rows] == [
+        (2000, "exact"),
+        (2000, "exact"),
+        (EXACT_LIMIT + 1, "float64"),
+        (EXACT_LIMIT + 1, "float64"),
+    ]
+    rc, out, _ = run(
+        capsys, "compare", "--n", ",".join(map(str, n_list)), "--terms", "1",
+        "--approx-beyond-exact",
+    )
+    assert rc == 0
+    header, *lines = out.strip().splitlines()
+    cols = header.split(",")
+    assert len(lines) == len(table.rows)
+    for row, line in zip(table.rows, lines):
+        printed = dict(zip(cols, line.split(",")))
+        assert (int(printed["n"]), int(printed["L"])) == (row.n, row.L)
+        for name in ("log_r_exact", "ratio", "residual_scaled"):
+            digits = _significant_digits(printed[name])
+            if row.source == "float64":
+                assert digits <= 15, (name, printed[name])
+                assert abs(mpf(printed[name]) - getattr(row, name)) < mpf("1e-9")
+            else:
+                assert digits > 40, (name, printed[name])
+                assert printed[name] == mp.nstr(getattr(row, name), mp.dps)

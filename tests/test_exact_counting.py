@@ -82,8 +82,8 @@ def test_exact_counts_are_python_ints():
 
 
 def test_r_exact_matches_rational_exp_oracle():
-    n = 150
-    assert r_exact(n) == r_exact_via_exp(n)
+    for n in (150, 1000):
+        assert r_exact(n) == r_exact_via_exp(n)
 
 
 def test_r_exact_monotone_from_degree_three():

@@ -58,6 +58,12 @@ def test_saddle_series_closed_form_coefficients():
     assert abs(rho[5] - 4959 * Y**5 / (2048000000 * X**15)) < TOL
 
 
+def test_saddle_series_vanishes_exactly_at_four_mod_ten():
+    rho = saddle_series(40).rho
+    assert [rho[k] for k in (4, 14, 24, 34)] == [0, 0, 0, 0]
+    assert all(rho[k] != 0 for k in range(41) if k % 10 != 4)
+
+
 def test_saddle_series_residual_vanishes(saddle_residual_max):
     assert saddle_residual_max(25) < mpf("1e-80")
 

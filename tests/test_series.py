@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,13 +45,6 @@ def test_mul_valuation_and_order_tracking():
     prod = a * b
     assert prod.coeff(5) == 1
     assert prod.order <= min(a.order + b.valuation, b.order + a.valuation)
-
-
-def test_division_geometric_series():
-    one = PowerSeries.constant(mpf(1), 10)
-    one_minus_x = PowerSeries([mpf(1), mpf(-1)] + [mpf(0)] * 8, 0, 10)
-    geo = one / one_minus_x
-    assert all(abs(geo.coeff(k) - 1) < mpf("1e-55") for k in range(10))
 
 
 def test_exp_coefficients_are_inverse_factorials():
@@ -103,6 +97,34 @@ def test_pow_real_binomial_series():
     assert abs(sq.coeff(0) - 1) < mpf("1e-50")
     assert abs(sq.coeff(1) - 1) < mpf("1e-50")
     assert all(abs(sq.coeff(k)) < mpf("1e-50") for k in range(2, sq.order))
+
+
+def _coeffs(series):
+    return [series.coeff(k) for k in range(series.order)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.lists(_small_fractions, min_size=1, max_size=9),
+    _small_fractions,
+    _small_fractions,
+)
+def test_pow_real_exponent_laws_hold_exactly(tail, alpha, beta):
+    # a^alpha a^beta == a^(alpha+beta) and a^3 == a a a, in exact rationals
+    a = PowerSeries([Fraction(1)] + tail, 0, len(tail) + 1)
+    lhs = a.pow_real(alpha) * a.pow_real(beta)
+    assert _coeffs(lhs) == _coeffs(a.pow_real(alpha + beta))
+    assert _coeffs(a.pow_real(Fraction(3))) == _coeffs(a * a * a)
+
+
+def test_pow_real_requires_unit_constant_term():
+    for bad in (
+        PowerSeries([mpf(2), mpf(1)], 0, 2),
+        PowerSeries([mpf(1), mpf(1)], 1, 3),
+        PowerSeries([mpf(1), mpf(1)], -1, 1),
+    ):
+        with pytest.raises(ValueError):
+            bad.pow_real(mpf(1) / 2)
 
 
 def test_drop_below_and_truncate():
