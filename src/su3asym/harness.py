@@ -127,8 +127,8 @@ def r_asymptotic(n: int, L: int) -> mpf:
 def log_G_direct(z):
     """Log G(e^(-z)) = -sum_{d} mult(d) Log(1 - e^(-z d)) for Re(z) > 0.
 
-    The dimension spectrum is streamed in doubling blocks until the
-    remaining tail is provably below the precision target: multiplicities
+    The dimension spectrum is summed up to a cutoff D, doubled from 64 until
+    the remaining tail is provably below the precision target: multiplicities
     satisfy mult(d) <= 2 d^(1/3) <= d, and |Log(1 - w)| <= |w|/(1 - |w|),
     so the tail beyond D is at most x^(D+1) (D+1) / (1-x)^3 with
     x = e^(-Re z).
@@ -143,19 +143,12 @@ def log_G_direct(z):
         target = mpf(10) ** (-(prec + 5))
         x = mp.exp(-sigma)
         one_minus_x = -mp.expm1(-sigma)
-        total = mpc(0) if isinstance(zz, mpc) else mpf(0)
-        done = 0
         limit = 64
-        while True:
-            for d, mult in su3_parts(limit):
-                if d <= done:
-                    continue
-                total -= mult * mp.log(1 - mp.exp(-zz * d))
-            done = limit
-            tail = x ** (done + 1) * (done + 1) / one_minus_x**3
-            if tail < target:
-                break
+        while x ** (limit + 1) * (limit + 1) / one_minus_x**3 >= target:
             limit *= 2
+        total = mpc(0) if isinstance(zz, mpc) else mpf(0)
+        for d, mult in su3_parts(limit):
+            total -= mult * mp.log(1 - mp.exp(-zz * d))
         total = +total
     return total
 

@@ -129,7 +129,6 @@ class LadderPolys:
 
 _CONSTANTS_CACHE: dict = {}
 _LADDER_CACHE: dict = {}
-_LAURENT_CACHE: dict = {}
 
 
 def constants() -> ExpansionConstants:
@@ -239,6 +238,11 @@ def _laurent_main_raw(order: int, X, Y) -> PowerSeries:
     return expr.shift(-4).truncate(order + 1)
 
 
+def _poly_dust_degree(poly: XPolynomial, prec: int) -> int:
+    scale = 1 + max(abs(poly.coeff(j)) for j in range(poly.degree + 1))
+    return poly.effective_degree(scale * mpf(10) ** (-(prec + 2)))
+
+
 def laurent_main(order: int) -> PowerSeries:
     """Laurent series of z^(-4)(3X^2 B^(-2/3) - (Yz/X) B^(-1/2) + 2X^2 B).
 
@@ -251,10 +255,6 @@ def laurent_main(order: int) -> PowerSeries:
     if order < 1:
         raise ValueError("order must be a positive integer")
     prec = working_digits()
-    key = (order, prec)
-    hit = _LAURENT_CACHE.get(key)
-    if hit is not None:
-        return hit
     cst = constants()
     with mp.workdps(prec + 20 + order):
         series = _laurent_main_raw(order, cst.X, cst.Y)
@@ -279,15 +279,12 @@ def laurent_main(order: int) -> PowerSeries:
                 )
         # degree bound: the coefficient of z^(l-4) has degree <= floor(l/2)
         for k in range(series.valuation, series.order):
-            poly = series.coeff(k)
-            scale = 1 + max(abs(poly.coeff(j)) for j in range(poly.degree + 1))
-            eff = poly.effective_degree(tol * scale)
+            eff = _poly_dust_degree(series.coeff(k), prec)
             if eff > (k + 4) // 2:
                 raise RuntimeError(
                     f"Laurent coefficient at z^{k} has degree {eff}, above the "
                     f"bound {(k + 4) // 2}; the expansion is inconsistent"
                 )
-    _LAURENT_CACHE[key] = series
     return series
 
 
@@ -297,11 +294,6 @@ def laurent_main(order: int) -> PowerSeries:
 def _as_xpoly(c) -> XPolynomial:
     """Coefficients of degenerate series may collapse to scalars; normalize."""
     return c if isinstance(c, XPolynomial) else XPolynomial([c])
-
-
-def _poly_dust_degree(poly: XPolynomial, prec: int) -> int:
-    scale = 1 + max(abs(poly.coeff(j)) for j in range(poly.degree + 1))
-    return poly.effective_degree(scale * mpf(10) ** (-(prec + 2)))
 
 
 def expansion_polys(M: int) -> LadderPolys:

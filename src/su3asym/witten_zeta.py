@@ -54,6 +54,10 @@ Two independent evaluation routes are provided and cross-checked:
       z_p:                1 - 2s    s - 1    k (Gamma(-z))    -s - k (Gamma(s+z))
       Res_p / Gamma(s):   +F        -F       -t_k             +t_k
 
+  The nodes below the real axis are those above it at conj s, reflected:
+  f(c - i k h; s) = conj f(c + i k h; conj s) (Schwarz), so a real s needs
+  one half-line.  No line of Gamma or zeta values is cached.
+
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
 zeta-value convolution identity equivalent to the trivial zeros.
@@ -101,7 +105,8 @@ class WittenZetaPoleError(ZeroDivisionError):
 # ``method="auto"`` switches from the continuation to it.
 _DIRECT_P = 128
 _DIRECT_R = 12
-# Continuation: Bernoulli corrections in the Euler-Maclaurin zeta line.
+# Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
+# zeta line; higher precisions take more (see _zeta_line_em).
 _EM_DEPTH = 13
 # Continuation: trapezoid step cap; the step is sized for a pole-free strip of
 # half-width 0.9 x 2.5 once the integrand's poles within _POLE_BAND are corrected.
@@ -225,10 +230,10 @@ def _direct_result(s) -> OmegaResult:
 def _direct_eval(s):
     """Worker for the direct route at the current working precision.
 
-    Splits the lattice into the exact block {j, k <= P}, two symmetric edge
-    strips {j <= P < k} handled row-by-row with Euler-Maclaurin tails in k,
-    and the corner {j, k > P}, whose rows' Euler-Maclaurin forms sum over j
-    to Hurwitz zeta values.
+    Splits the lattice into the rows j <= P (the block {j, k <= P} and the
+    two symmetric edge strips {j <= P < k}), each summed exactly to
+    k = max(P, 2j) and closed by an Euler-Maclaurin tail in k, and the corner
+    {j, k > P}, whose rows' Euler-Maclaurin forms sum to Hurwitz zeta values.
     """
     P = _DIRECT_P
     R = _DIRECT_R
@@ -242,22 +247,13 @@ def _direct_eval(s):
     for n in range(1, 3 * P + 1):
         pw[n] = _npow(n, s)
 
-    # exact block j, k <= P (j <-> k symmetry: twice the strict upper triangle
-    # plus the diagonal)
-    acc = mpf(0)
-    for j in range(1, P + 1):
-        pj = pw[j]
-        row = 0
-        for k in range(j + 1, P + 1):
-            row += pw[k] * pw[j + k]
-        acc += pj * (2 * row + pj * pw[2 * j])
-
     bern_over = [None] + [bernoulli_mpf(2 * r) / (2 * r) for r in range(1, R + 1)]
     bern_next = abs(bernoulli_mpf(2 * R + 2) / (2 * R + 2))
 
-    # edge strips: for each row j <= P the inner sum over k > P, with the
-    # explicit range P < k <= K_j = max(P, 2j) summed directly so that the
-    # Euler-Maclaurin cutoff satisfies K_j / j >= 2.  The corrections need the
+    # rows j <= P of the block and the edge strips (j <-> k symmetry: the
+    # diagonal plus twice k > j): each row sums j < k <= K_j = max(P, 2j)
+    # exactly, so that the Euler-Maclaurin cutoff of its tail in k satisfies
+    # K_j / j >= 2, and adds that tail.  The corrections need the
     # odd Taylor coefficients c_q of (1 + u/K)^(-s) (1 + u/(j+K))^(-s),
     #   c_q = sum_i beta_i beta_(q-i) K^(-i) (j+K)^(-(q-i)),  beta_i = binom(-s, i),
     # which are polynomials in one variable per regime: in y = 1/(j+P) for
@@ -286,14 +282,14 @@ def _direct_eval(s):
     # rows 2j < P, x = 1/2 on the rest
     n_low = (P + 1) // 2  # rows 1..n_low-1 have 2j < P
     tails = [_g2(s, s, mpf(j) / P) for j in range(1, n_low)] + [_g2(s, s, mpf(1) / 2)]
+    acc = mpf(0)
     for j in range(1, P + 1):
         K = max(P, 2 * j)
         pj = pw[j]
-        if K > P:
-            expl = 0
-            for k in range(P + 1, K + 1):
-                expl += pw[k] * pw[j + k]
-            acc += 2 * pj * expl
+        row = 0
+        for k in range(j + 1, K + 1):
+            row += pw[k] * pw[j + k]
+        acc += pj * (2 * row + pj * pw[2 * j])
         if 2 * j < P:
             y = 1 / mpf(j + P)
             corr = _horner(corr_y, y)
@@ -363,10 +359,10 @@ def _unfix(re, im, W):
     return mpc(mp.ldexp(re, -W), mp.ldexp(im, -W))
 
 
-def _gamma_line(a0, h, K, k0=0):
-    """[Gamma(a0 + i k h) for k = k0..K]; the line must carry no pole of Gamma."""
+def _gamma_line(a0, h, K):
+    """[Gamma(a0 + i k h) for k = 0..K]; the line must carry no pole of Gamma."""
     step = mpc(0, h)
-    return [mp.gamma(a0 + k * step) for k in range(k0, K + 1)]
+    return [mp.gamma(a0 + k * step) for k in range(K + 1)]
 
 
 def _zeta_line_em(a0, h, K):
@@ -374,18 +370,30 @@ def _zeta_line_em(a0, h, K):
     table; requires Re(a0) > -(2*_EM_DEPTH - 1) and is used for Re(a0) >= -1.
 
     zeta(s) = sum_{n<N} n^(-s)
-              + N^(-s) (N/(s-1) + 1/2 + sum_{r=1}^{_EM_DEPTH} B_2r/(2r)! R_r(s)),
+              + N^(-s) (N/(s-1) + 1/2 + sum_{r=1}^{D} B_2r/(2r)! R_r(s)),
     R_r(s) = (s)_(2r-1) / N^(2r-1), all in fixed point.  R_(r+1) is R_r times
     (s+2r-1)(s+2r)/N^2, which keeps it of moderate size where (s)_(2r-1)
-    and B_2r/(2r)! alone would leave the fixed-point range.  The table
-    n^(-s) for n <= N is advanced by n^(-ih) per node and recomputed from
-    scratch every 256 nodes.
+    and B_2r/(2r)! alone would leave the fixed-point range.  The depth D is
+    the smallest from _EM_DEPTH on whose remainder bound (Johansson 2015)
+    4 |(s)_2D| (2 pi N)^(-2D) N^(1-sigma) / (sigma + 2D - 1), at the line's
+    largest |s|, is at most 10^-(dps - 10); up to about 60 digits D = _EM_DEPTH.
+    The table n^(-s) for n <= N is advanced by n^(-ih) per node and
+    recomputed from scratch every 256 nodes.
     """
     a0 = _to_mp(a0)
     h = mpf(h)
     im0 = float(mp.im(a0))
     t_extreme = max(abs(im0), abs(im0 + K * float(h)))
     N = max(10, int(1.35 * mp.dps) + 12 + int(0.32 * t_extreme))
+    sigma = float(mp.re(a0))
+    s_abs = math.hypot(sigma, t_extreme)  # |(s)_2D| <= prod_{i<2D} (|s| + i)
+    depth = _EM_DEPTH
+    while depth < N and (
+        math.log(4) + sum(math.log(s_abs + i) for i in range(2 * depth))
+        - 2 * depth * math.log(2 * math.pi * N) + (1 - sigma) * math.log(N)
+        - math.log(sigma + 2 * depth - 1)
+    ) > -(mp.dps - 10) * math.log(10):
+        depth += 1
     W = mp.prec + _FIX_GUARD
     one = 1 << W
 
@@ -397,7 +405,7 @@ def _zeta_line_em(a0, h, K):
     sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * mp.ln(n)), W) for n in range(1, N + 1)))
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
     coef = []
-    for r in range(1, _EM_DEPTH + 1):
+    for r in range(1, depth + 1):
         b = bernoulli_fraction(2 * r)
         coef.append((b.numerator << 2 * W) // (b.denominator * math.factorial(2 * r)))
     nn_scale = (N * N) << W
@@ -412,10 +420,10 @@ def _zeta_line_em(a0, h, K):
         cr = ((N * dr) << 2 * W) // den + (one >> 1)
         ci = ((-N * xi) << 2 * W) // den
         rr, ri = xr // N, xi // N  # R_1 = s/N
-        for r in range(_EM_DEPTH):
+        for r in range(depth):
             cr += (coef[r] * rr) >> 2 * W
             ci += (coef[r] * ri) >> 2 * W
-            if r + 1 < _EM_DEPTH:
+            if r + 1 < depth:
                 u = xr + (2 * r + 1) * one
                 v = u + one
                 qr, qi = (u * v - xi * xi) >> W, (xi * (u + v)) >> W
@@ -466,26 +474,6 @@ def _zeta_line(a0, h, K):
     return out
 
 
-# Lines of Gamma(-z) keyed by (M, h, precision), one precision at a time; a
-# plain dict (one computation per process, see su3asym.precision).
-_NEGZ_CACHE: dict = {}
-
-
-def _gamma_negz_line(M, h, K):
-    """[Gamma(-z_k) for z_k = (M - 1/2) + i k h, k = 0..K], cached per line.
-
-    The line -z_k = 1/2 - M - i k h carries no pole of Gamma; a longer K
-    extends the cached line instead of recomputing it.
-    """
-    key = (M, float(h), mp.prec)
-    for stale in [k for k in _NEGZ_CACHE if k[2] != mp.prec]:
-        del _NEGZ_CACHE[stale]
-    hit = _NEGZ_CACHE.get(key, [])
-    if len(hit) <= K:
-        hit = _NEGZ_CACHE[key] = hit + _gamma_line(mpf(1) / 2 - M, -h, K, k0=len(hit))
-    return hit[: K + 1]
-
-
 # -- Mellin-Barnes continuation ---------------------------------------------------
 
 
@@ -515,6 +503,15 @@ def _pole_weight(z, c, h):
     return -1 / mp.expm1(2 * mp.pi * (z - c) / h)
 
 
+def _half_line(s, c, h, K, neg_z):
+    """[f(c + i k h) for k = 0..K], f(z) = Gamma(s+z) Gamma(-z) zeta(2s+z)
+    zeta(s-z), given the line neg_z of Gamma(-z)."""
+    gamma = _gamma_line(s + c, h, K)
+    zeta_a = _zeta_line(2 * s + c, h, K)
+    zeta_b = _zeta_line(s - c, -h, K)
+    return [g * n * a * b for g, n, a, b in zip(gamma, neg_z, zeta_a, zeta_b)]
+
+
 def _mb_integral(s, M: int, digit_target: int):
     """T = (h/(2 pi)) sum_k f(c + i k h), f(z) = Gamma(s+z) Gamma(-z)
     zeta(2s+z) zeta(s-z), on the line z = c + i t, c = M - 1/2; the error
@@ -536,39 +533,18 @@ def _mb_integral(s, M: int, digit_target: int):
     for _ in range(6):
         t_max = (math.log(10) * (digit_target + 6) + growth * max(0.0, math.log(t_max))) / math.pi
     t_max = max(6.0, t_max) + abs(im_s)
-    real_s = im_s == 0 and isinstance(s, mpf)
+    real_s = mp.im(s) == 0  # exactly: a tiny Im s must not round to a real s
     target_abs = mpf(10) ** (-(digit_target + 5))
     for _ in range(4):
         K = int(t_max / float(h)) + 1
-        gamma_pos = _gamma_line(s + c, h, K)
-        zeta_a_pos = _zeta_line(2 * s + c, h, K)
-        zeta_b_pos = _zeta_line(s - c, -h, K)
-        gamma_neg_z = _gamma_negz_line(M, h, K)
-        q_pos = [
-            gamma_pos[k] * gamma_neg_z[k] * zeta_a_pos[k] * zeta_b_pos[k]
-            for k in range(K + 1)
-        ]
+        neg_z = _gamma_line(mpf(1) / 2 - M, -h, K)  # Gamma(-z) on the line
+        upper = _half_line(s, c, h, K, neg_z)
+        # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)
+        lower = upper if real_s else _half_line(mp.conj(s), c, h, K, neg_z)
+        total = upper[0] + (sum(upper[:0:-1]) + mp.conj(sum(lower[:0:-1])))
         if real_s:
-            # Q(-t) = conj(Q(t)): fold the negative half-line
-            total = mpf(0)
-            for k in range(K, 0, -1):
-                total += mp.re(q_pos[k])
-            total = 2 * total + mp.re(q_pos[0])
-            tail_mag = abs(q_pos[K])
-        else:
-            gamma_min = _gamma_line(s + c, -h, K)
-            zeta_a_min = _zeta_line(2 * s + c, -h, K)
-            zeta_b_min = _zeta_line(s - c, h, K)
-            total = mpc(0)
-            for k in range(K, 0, -1):
-                total += gamma_min[k] * mp.conj(gamma_neg_z[k]) * zeta_a_min[k] * zeta_b_min[k]
-            tail_mag = max(
-                abs(q_pos[K]),
-                abs(gamma_min[K] * gamma_neg_z[K] * zeta_a_min[K] * zeta_b_min[K]),
-            )
-            for k in range(K + 1):
-                total += q_pos[k]
-        est_trunc = tail_mag / math.pi
+            total = mp.re(total)
+        est_trunc = max(abs(upper[K]), abs(lower[K])) / math.pi
         if est_trunc < target_abs:
             break
         t_max *= 1.4
