@@ -30,7 +30,8 @@ All numerical output is produced at the current working precision (default
 per-command ``--prec`` flag).  Argument parsing only checks that numbers
 parse; each command converts them to mpf/mpc after ``main`` has set the
 precision, so every digit given on the command line is kept.  Library errors
-(``ValueError`` and poles of omega) print ``error: ...`` and exit with 2.
+(``ValueError``, poles of omega and mpmath's ``NoConvergence``) print
+``error: ...`` and exit with 2.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def main(argv=None) -> int:
         if args.prec is not None:
             set_working_digits(args.prec)
         return args.func(args)
-    except (ValueError, WittenZetaPoleError) as exc:
+    except (ValueError, WittenZetaPoleError, mp.NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

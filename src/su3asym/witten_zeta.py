@@ -66,12 +66,24 @@ The one tunable is the contour shift ``M`` of the continuation, a keyword of
 ``omega``, ``omega_result`` and ``trivial_zeros``; ``None`` picks it from
 Re(s).  Everything else (block size, Euler-Maclaurin depth, quadrature step
 and length) is fixed or derived from the working precision.
+
+Each route runs at the precision its error budget needs, and ``est_error``,
+not the working precision, says what a value carries.  The continuation's
+quadrature targets an absolute error of 10^-(D+4), D = max(10, ceil(dps/3)),
+at D + 14 digits; its finite part runs at D + 24 digits plus a bump near the
+integers and 2 log10(|s| + 2) guard digits, so that its rounding stays at
+least 8 orders below the quadrature's.  The direct route runs at
+max(30, dps/2 + 18) + 10 + 2 log10(|s| + 2) digits; each row of its block
+and edge strips, and each row's Euler-Maclaurin correction polynomial, is one
+exact dot product (mpmath's fdot), rounded once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from mpmath import mp, mpc, mpf
 
@@ -184,14 +196,6 @@ def _convolve(a, b, n_terms, orders=None):
     return out
 
 
-def _horner(coeffs, x):
-    """sum_m coeffs[m] x^m."""
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def _g2(s, w, x):
     """G2(1/x; s, w) = int_0^x u^(e-1) (1+u)^(-w) du = x^e 2F1(w, e; e+1; -x) / e,
     e = s + w - 1 (the Euler integral, DLMF 15.6.1)."""
@@ -234,6 +238,8 @@ def _direct_eval(s):
     two symmetric edge strips {j <= P < k}), each summed exactly to
     k = max(P, 2j) and closed by an Euler-Maclaurin tail in k, and the corner
     {j, k > P}, whose rows' Euler-Maclaurin forms sum to Hurwitz zeta values.
+    Rows, correction polynomials and the corner are exact dot products, each
+    rounded once, so tol * (P + 4) over-bounds the rounding.
     """
     P = _DIRECT_P
     R = _DIRECT_R
@@ -286,19 +292,19 @@ def _direct_eval(s):
     for j in range(1, P + 1):
         K = max(P, 2 * j)
         pj = pw[j]
-        row = 0
-        for k in range(j + 1, K + 1):
-            row += pw[k] * pw[j + k]
+        row = mp.fdot(pw[j + 1 : K + 1], pw[2 * j + 1 : j + K + 1])
         acc += pj * (2 * row + pj * pw[2 * j])
         if 2 * j < P:
             y = 1 / mpf(j + P)
-            corr = _horner(corr_y, y)
-            last = _horner(last_y, y)
+            powers = list(accumulate([mpf(1)] + [y] * (2 * R + 1), mul))  # y^0..y^(2R+1)
+            corr = mp.fdot(corr_y, powers[: 2 * R])
+            last = mp.fdot(last_y, powers)
             g2 = tails[j - 1]
         else:
             u = 1 / mpf(j)
-            corr = _horner(corr_j, u * u) * u
-            last = gamma_odd[R] * u ** (2 * R + 1)
+            powers = list(accumulate([u] + [u * u] * R, mul))  # u, u^3, .., u^(2R+1)
+            corr = mp.fdot(corr_j, powers[:R])
+            last = gamma_odd[R] * powers[R]
             g2 = tails[-1]
         integral = mp.exp((1 - 2 * s) * mp.ln(j)) * g2
         base = pw[K] * pw[j + K]
@@ -322,8 +328,7 @@ def _direct_eval(s):
     guard = 5 + max(0, int(mp.log10(max(abs(c) for c in coeffs))))
     with mp.workdps(mp.dps + guard):
         hurwitz = [mp.zeta(3 * s + 2 * r - 1, P + 1) for r in range(R + 2)]
-    for c, z in zip(coeffs[:-1], hurwitz):
-        acc += c * z
+    acc += mp.fdot(coeffs[:-1], hurwitz)
     est += abs(coeffs[-1] * hurwitz[-1])
     est += tol * (P + 4)
     return acc, est
@@ -575,13 +580,16 @@ def _continued_result(s, M: int | None) -> OmegaResult:
         M = _auto_M(re_s)
     _strip_check(re_s, M)
     digit_target = max(10, -(-prec // 3))
-    finite_dps = prec + 15 + bump + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
+    # the finite part carries 24 digits past the quadrature's target, so its
+    # rounding, (1 + big) 10^-(finite_dps - 12) below, stays >= 8 orders under
+    # the quadrature's 10^-(digit_target + 4)
+    finite_dps = digit_target + 24 + bump + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
     quad_dps = digit_target + 14
     with mp.workdps(quad_dps):
         s_quad = +s0 + eps
         trapezoid, integral_est, h = _mb_integral(s_quad, M, digit_target)
     with mp.workdps(finite_dps):
-        s_ev = +s0 + eps
+        s_ev = s0 + eps if eps else s0  # the input's bits, even below its precision
         # each term takes on its poles' weights; only z = k >= M lie right of c
         c = M - mpf(1) / 2
         first = (
@@ -604,8 +612,7 @@ def _continued_result(s, M: int | None) -> OmegaResult:
             integral_est / abs(gamma_s)
             + (1 + big) * mpf(10) ** (-(finite_dps - 12))
         )
-        s_report = +s_ev
-    return OmegaResult(s=s0, s_evaluated=s_report, value=+value, method="mb", est_error=+est)
+    return OmegaResult(s=s0, s_evaluated=s_ev, value=+value, method="mb", est_error=+est)
 
 
 # -- dispatcher and friends -------------------------------------------------------
@@ -622,8 +629,13 @@ def omega(s, method: str = "auto", *, M: int | None = None):
 
 
 def omega_result(s, method: str = "auto", *, M: int | None = None) -> OmegaResult:
-    """Like omega() but returns the OmegaResult with metadata."""
+    """Like omega() but returns the OmegaResult with metadata.
+
+    s must be finite with |s| inside float range; anything else raises
+    ValueError before any work."""
     s0 = _to_mp(s)
+    if not float(abs(s0)) < math.inf:  # also False for NaN
+        raise ValueError(f"s must be finite with |s| inside float range; got {mp.nstr(s0, 8)}")
     _pole_guard(s0)
     if method == "auto":
         method = "direct" if _direct_allowed(mp.re(s0)) else "mb"

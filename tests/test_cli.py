@@ -6,6 +6,7 @@ import json
 
 from mpmath import mp, mpc, mpf
 
+from su3asym import cli
 from su3asym.cli import main
 from su3asym.exact_counting import EXACT_LIMIT
 from su3asym.harness import compare_table
@@ -65,6 +66,25 @@ def test_omega_pole_is_an_error(capsys):
     rc, _, err = run(capsys, "omega", "--re", "0.5")
     assert rc == 2
     assert "pole" in err
+
+
+def test_omega_beyond_float_range_is_an_error(capsys):
+    rc, out, err = run(capsys, "omega", "--re", "1e400")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: s must be finite")
+
+
+def test_omega_no_convergence_is_an_error(capsys, monkeypatch):
+    # mpmath's NoConvergence is not a ValueError; it must not end in a traceback
+    def failing(*args, **kwargs):
+        raise mp.NoConvergence("hypergeometric series did not converge")
+
+    monkeypatch.setattr(cli, "omega_result", failing)
+    rc, out, err = run(capsys, "omega", "--re", "1.5", "--im", "1e6")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: hypergeometric series did not converge")
 
 
 def test_omega_verify_zeros(capsys):

@@ -19,6 +19,7 @@ from su3asym.saddle_expansion import (
     saddle_series,
 )
 from su3asym.special_functions import gamma_complex, zeta_complex
+from su3asym.witten_zeta import omega_residue
 from su3asym.xpoly import XPolynomial
 
 mp.dps = 60
@@ -177,3 +178,38 @@ def test_c_constants_refuse_an_imaginary_even_coefficient(monkeypatch):
 def test_c_constants_order_guard():
     with pytest.raises(ValueError):
         c_constants(MAX_C_ORDER + 1)
+
+
+# -- the expansion constants are residues of omega --------------------------------
+#
+# sum_d mult(d) d^(-w) = 2^w omega(w), so Log G(e^(-z)) is the Mellin integral of
+# Gamma(w) zeta(1+w) 2^w omega(w) z^(-w), and each pole of omega gives one term
+# of the expansion: 2/3 the X term, 1/2 the Y term, -1/2 - m the nu_m term.
+# These tie saddle_expansion to witten_zeta, which share no code.
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(a)
+
+
+def test_x_is_the_residue_of_omega_at_two_thirds():
+    cst = constants()
+    want = gamma_complex(mpf(2) / 3) * zeta_complex(mpf(5) / 3) * omega_residue("two_thirds")
+    assert _rel(3 * cst.X ** (mpf(10) / 3), want) < mpf("1e-55")
+
+
+def test_y_is_the_residue_of_omega_at_one_half():
+    want = -mp.sqrt(mp.pi) * zeta_complex(mpf(3) / 2) * omega_residue("half_minus_m", 0)
+    assert _rel(constants().Y, want) < mpf("1e-55")
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_nu_is_the_residue_of_omega_at_half_minus_m(m):
+    w = -mpf(1) / 2 - m
+    want = (
+        gamma_complex(w)
+        * zeta_complex(mpf(1) / 2 - m)
+        * mpf(2) ** w
+        * omega_residue("half_minus_m", m + 1)
+    )
+    assert _rel(nu_coeff(m), want) < mpf("1e-55")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -73,11 +74,34 @@ def test_continuation_term_count_independence():
     assert abs(vals[1] - vals[2]) < mpf("1e-24")
 
 
+def _schwarz_points(seed, re_lo, re_hi, im_lo, im_hi, count):
+    rng = random.Random(seed)
+    return [
+        mpc(round(rng.uniform(re_lo, re_hi), 4), rng.choice((-1, 1)) * round(rng.uniform(im_lo, im_hi), 4))
+        for _ in range(count)
+    ]
+
+
 def test_schwarz_symmetry():
+    # omega(conj s) = conj omega(s): at seeded points of each route within the
+    # two evaluations' claims, and at one mb point to 1e-30
+    mp.dps = 60
     s = mpc("0.1", "2.0")
-    a = omega(s, method="mb")
-    b = omega(mp.conj(s), method="mb")
-    assert abs(mp.conj(a) - b) < mpf("1e-30")
+    assert abs(mp.conj(omega(s, method="mb")) - omega(mp.conj(s), method="mb")) < mpf("1e-30")
+    routes = [
+        ("direct", _schwarz_points(3101, 1.1, 3.0, 0.0, 10.0, 4)),
+        # |Im s| >= 0.3 keeps every point at least that far from the real poles
+        ("mb", _schwarz_points(3102, -2.4, 1.05, 0.3, 3.0, 4)),
+    ]
+    for method, points in routes:
+        for s in points:
+            a = omega_result(s, method=method)
+            b = omega_result(mp.conj(s), method=method)
+            diff = abs(mp.conj(a.value) - b.value)
+            assert diff <= a.est_error + b.est_error, (
+                f"{method}, s={s}: |omega(conj s) - conj omega(s)| = {mp.nstr(diff, 3)} "
+                f"exceeds est(s) + est(conj s) = {mp.nstr(a.est_error + b.est_error, 3)}"
+            )
 
 
 def test_trivial_zeros():
@@ -162,6 +186,43 @@ def test_result_metadata():
     assert res.s == mpf("0.8")
     assert res.s_evaluated == res.s  # no perturbation needed off the poles
     assert res.est_error > 0
+    # the finite part runs below the working precision; s keeps its bits
+    s = mpc(mpf(1) / 3, mpf(1) / 7)
+    res = omega_result(s)
+    assert res.method == "mb"
+    assert res.s == s and res.s_evaluated == s
+
+
+@pytest.mark.parametrize(
+    "s",
+    [mpf(10) ** 400, mpc(0, mpf(10) ** 400), mpf("nan"), mpf("inf"), mpc("-inf", 1)],
+    ids=["1e400", "1e400i", "nan", "inf", "-inf+i"],
+)
+def test_non_finite_or_float_overflowing_input_is_refused(s):
+    with pytest.raises(ValueError, match="s must be finite"):
+        omega_result(s)
+
+
+@pytest.mark.parametrize("s, bump", [(mpf("0.8"), 0), (mpc("0.3", "1.4"), 0), (mpf(-2), 60 // 2 + 9)])
+def test_mb_finite_part_runs_at_its_error_budget(monkeypatch, s, bump):
+    # the quadrature targets ceil(dps/3) = 20 digits at 60; the finite part
+    # (every zeta_complex / gamma_complex call of the route) needs 24 more,
+    # plus the integer-point bump and the guard for |s|, not dps + 15
+    mp.dps = 60
+    seen = []
+
+    def recording(f):
+        def wrapped(x):
+            seen.append(mp.dps)
+            return f(x)
+
+        return wrapped
+
+    monkeypatch.setattr(witten_zeta, "zeta_complex", recording(zeta_complex))
+    monkeypatch.setattr(witten_zeta, "gamma_complex", recording(gamma_complex))
+    omega_result(s, method="mb")
+    budget = 20 + 24 + bump + max(0, int(2 * math.log10(abs(complex(s)) + 2)))
+    assert seen and max(seen) <= budget, (max(seen), budget)
 
 
 # -- the direct route's tail integrals and its error claim ---------------------
