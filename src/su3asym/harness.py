@@ -12,7 +12,6 @@ logarithm; only ratios and scaled residuals are materialized as plain reals.
 Provided operations:
 
 * ``big_A``            -- log A(n).
-* ``r_asymptotic``     -- log of the truncated expansion.
 * ``log_G_direct``     -- Log G(e^(-z)) summed over the dimension spectrum
                           with a certified geometric tail bound.
 * ``asymptotic_log_G`` -- the truncated expansion of Log G(e^(-z)):
@@ -43,7 +42,6 @@ __all__ = [
     "ComparisonRow",
     "ComparisonTable",
     "big_A",
-    "r_asymptotic",
     "log_G_direct",
     "asymptotic_log_G",
     "expansion_residual",
@@ -97,30 +95,6 @@ def big_A(n: int):
     return +out
 
 
-def r_asymptotic(n: int, L: int) -> mpf:
-    """log of the truncated expansion n^(-3/5) (sum_{j<=L} C_j n^(-j/10)) A(n).
-
-    The value itself is too large to materialize.  If the truncated C-sum is
-    not positive the result is not a meaningful count approximation and a
-    ValueError is raised.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if L < 0:
-        raise ValueError("L must be a nonnegative integer")
-    prec = working_digits()
-    cs = c_constants(L)
-    with mp.workdps(prec + 10):
-        root = mpf(n) ** (-mpf(1) / 10)
-        csum = mpf(0)
-        for j in range(L, -1, -1):
-            csum = csum * root + cs[j]
-        if csum <= 0:
-            raise ValueError("expansion not positive at this n")
-        out = big_A(n) - mpf(3) / 5 * mp.log(n) + mp.log(csum)
-    return +out
-
-
 # -- Log G(e^{-z}) directly from the dimension spectrum -----------------------------
 
 
@@ -156,18 +130,12 @@ def log_G_direct(z):
 # -- the truncated expansion of Log G and its residual -------------------------------
 
 
-_EXCLUDED_LOW = (mpf(-2) / 3, mpf(-1) / 2, mpf(0))
-
-
 def _validate_eta(eta) -> mpf:
     eta = mpf(eta)
-    tol = mpf("1e-12")
-    near_half_integer = abs(eta - mpf(1) / 2 - mp.nint(eta - mpf(1) / 2)) < tol
-    if any(abs(eta - bad) < tol for bad in _EXCLUDED_LOW) or near_half_integer:
+    if abs(eta - mpf(1) / 2 - mp.nint(eta - mpf(1) / 2)) < mpf("1e-12"):
         raise ValueError(
-            f"eta = {mp.nstr(eta, 8)} lies in the excluded set "
-            "{-2/3, -1/2, 0, 1/2, 3/2, 5/2, ...} where the expansion's error "
-            "term is not defined"
+            f"eta = {mp.nstr(eta, 8)} is a half-integer, where the expansion's "
+            "error term is not defined"
         )
     if not eta > mpf(1) / 2:
         raise ValueError("eta must lie in (1/2, oo), off the half-integers")

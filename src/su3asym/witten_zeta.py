@@ -118,7 +118,7 @@ class WittenZetaPoleError(ZeroDivisionError):
 _DIRECT_P = 128
 _DIRECT_R = 12
 # Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
-# zeta line; higher precisions take more (see _zeta_line_em).
+# zeta line; higher precisions and lines far left take more (see _zeta_line).
 _EM_DEPTH = 13
 # Continuation: trapezoid step cap; the step is sized for a pole-free strip of
 # half-width 0.9 x 2.5 once the integrand's poles within _POLE_BAND are corrected.
@@ -182,11 +182,10 @@ def _binom_series(alpha, scale, n_terms, one):
     return coeffs
 
 
-def _convolve(a, b, n_terms, orders=None):
-    """Coefficients of the product of two coefficient lists: the first
-    n_terms of them, or only those of the given orders (each < n_terms)."""
+def _convolve(a, b, orders):
+    """Coefficients of the given orders of the product of two coefficient lists."""
     out = []
-    for q in range(n_terms) if orders is None else orders:
+    for q in orders:
         lo = max(0, q - len(b) + 1)
         hi = min(q, len(a) - 1)
         acc = a[lo] * b[q - lo]
@@ -280,7 +279,6 @@ def _direct_eval(s):
     gamma_odd = _convolve(
         _binom_series(-s, one / 2, n_ord, one),
         _binom_series(-s, one / 3, n_ord, one),
-        n_ord,
         range(1, n_ord, 2),
     )
     corr_j = [bern_over[r] * gamma_odd[r - 1] for r in range(1, R + 1)]
@@ -319,7 +317,7 @@ def _direct_eval(s):
     #                      - 2^(-s) sum_r B_2r/(2r) d_(2r-1) j^(1-2s-2r),
     # so the sum over j > P is a list of Hurwitz zeta values zeta(x, P+1)
     # (DLMF 25.11), and the diagonal cancels the f_j(j)/2 terms.
-    d_odd = _convolve(beta, _binom_series(-s, one / 2, n_ord, one), n_ord, range(1, n_ord, 2))
+    d_odd = _convolve(beta, _binom_series(-s, one / 2, n_ord, one), range(1, n_ord, 2))
     two_1ms = 2 * mp.exp(-s * mp.ln(2))  # 2^(1-s)
     coeffs = [2 * _g2(s, s, 1)] + [-two_1ms * bern_over[r] * d_odd[r - 1] for r in range(1, R + 1)]
     coeffs.append(two_1ms * bern_next * d_odd[R])  # the first omitted term
@@ -337,19 +335,23 @@ def _direct_eval(s):
 #
 # The trapezoid quadrature needs Gamma and zeta at hundreds of points
 # a0 + i k h along fixed vertical lines.  Gamma is mpmath's, node by node.
-# zeta is the package's own Euler-Maclaurin kernel, restructured in two ways
-# that make a thousand-node contour affordable at 30+ digits:
+# zeta is the package's own Euler-Maclaurin kernel, one path for every line
+# at any Re(a0), restructured in two ways that make a thousand-node contour
+# affordable at 30+ digits:
 #
 # * the n^(-i k h) phase factors of the partial sum advance multiplicatively
 #   from node to node instead of being re-exponentiated;
 # * the per-node work -- the power table and its partial sum and the
 #   Euler-Maclaurin corrections -- runs in fixed point: x + iy is the pair of
-#   Python integers (x 2^W, y 2^W), truncated, with W = mp.prec + _FIX_GUARD.
+#   Python integers (x 2^W, y 2^W), truncated, with W = wp + _FIX_GUARD.
 #   Products are integer multiply-and-shift.
 #
 # Fixed-point values carry an absolute error of a few units of 2^-W per
 # operation; the guard bits absorb the drift of 255 stepped nodes between
-# two resynchronisations of the power table.
+# two resynchronisations of the power table.  Left of Re(a0) = 1 the partial
+# sum reaches N^(1 - Re a0) and cancels down to zeta, so wp is the working
+# precision plus ceil((1 - Re a0) log2 N) guard bits there, and the working
+# precision elsewhere.
 
 _FIX_GUARD = 20
 
@@ -370,20 +372,24 @@ def _gamma_line(a0, h, K):
     return [mp.gamma(a0 + k * step) for k in range(K + 1)]
 
 
-def _zeta_line_em(a0, h, K):
+def _zeta_line(a0, h, K):
     """[zeta(a0 + i k h) for k = 0..K] by Euler-Maclaurin with a stepped power
-    table; requires Re(a0) > -(2*_EM_DEPTH - 1) and is used for Re(a0) >= -1.
+    table, at any Re(a0):
 
     zeta(s) = sum_{n<N} n^(-s)
               + N^(-s) (N/(s-1) + 1/2 + sum_{r=1}^{D} B_2r/(2r)! R_r(s)),
     R_r(s) = (s)_(2r-1) / N^(2r-1), all in fixed point.  R_(r+1) is R_r times
     (s+2r-1)(s+2r)/N^2, which keeps it of moderate size where (s)_(2r-1)
     and B_2r/(2r)! alone would leave the fixed-point range.  The depth D is
-    the smallest from _EM_DEPTH on whose remainder bound (Johansson 2015)
+    the smallest from max(_EM_DEPTH, floor((1 - sigma)/2) + 1) on (so that
+    sigma + 2D - 1 > 0) whose remainder bound (Johansson 2015)
     4 |(s)_2D| (2 pi N)^(-2D) N^(1-sigma) / (sigma + 2D - 1), at the line's
-    largest |s|, is at most 10^-(dps - 10); up to about 60 digits D = _EM_DEPTH.
-    The table n^(-s) for n <= N is advanced by n^(-ih) per node and
-    recomputed from scratch every 256 nodes.
+    largest |s|, is at most 10^-(dps - 10); up to about 60 digits D = _EM_DEPTH
+    on lines right of Re(a0) = -1, and the bound's N^(1-sigma) raises it
+    further left.  For sigma < 1 the terms reach N^(1-sigma), so the kernel
+    works with ceil((1 - sigma) log2 N) bits over the working precision.  The
+    table n^(-s) for n <= N is advanced by n^(-ih) per node and recomputed
+    from scratch every 256 nodes.
     """
     a0 = _to_mp(a0)
     h = mpf(h)
@@ -392,22 +398,28 @@ def _zeta_line_em(a0, h, K):
     N = max(10, int(1.35 * mp.dps) + 12 + int(0.32 * t_extreme))
     sigma = float(mp.re(a0))
     s_abs = math.hypot(sigma, t_extreme)  # |(s)_2D| <= prod_{i<2D} (|s| + i)
-    depth = _EM_DEPTH
+    depth = max(_EM_DEPTH, math.floor((1 - sigma) / 2) + 1)
     while depth < N and (
         math.log(4) + sum(math.log(s_abs + i) for i in range(2 * depth))
         - 2 * depth * math.log(2 * math.pi * N) + (1 - sigma) * math.log(N)
         - math.log(sigma + 2 * depth - 1)
     ) > -(mp.dps - 10) * math.log(10):
         depth += 1
-    W = mp.prec + _FIX_GUARD
+    wp = mp.prec + max(0, math.ceil((1 - sigma) * math.log2(N)))
+    W = wp + _FIX_GUARD
     one = 1 << W
 
-    def power_table(base):
-        """n^(-base) for n = 1..N: fixed-point real parts, imaginary parts."""
-        return zip(*(_fix(_npow(n, base), W) for n in range(1, N + 1)))
+    def power_table(k):
+        """n^(-s) at the node s = a0 + i k h for n = 1..N: fixed-point real
+        parts, imaginary parts.  s is formed at wp bits too, since its
+        rounding enters every term of the partial sum."""
+        with mp.workprec(wp):
+            s = a0 + mpc(0, k * h)
+            return zip(*(_fix(_npow(n, s), W) for n in range(1, N + 1)))
 
-    tre, tim = power_table(a0)
-    sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * mp.ln(n)), W) for n in range(1, N + 1)))
+    tre, tim = power_table(0)
+    with mp.workprec(wp):
+        sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * mp.ln(n)), W) for n in range(1, N + 1)))
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
     coef = []
     for r in range(1, depth + 1):
@@ -439,43 +451,12 @@ def _zeta_line_em(a0, h, K):
         out.append(_unfix(vr, vi, W))
         if k < K:
             if (k + 1) % 256 == 0:  # resync the stepped table against drift
-                tre, tim = power_table(a0 + mpc(0, (k + 1) * h))
+                tre, tim = power_table(k + 1)
             else:
                 tre, tim = (
                     [(a * c - b * d) >> W for a, b, c, d in zip(tre, tim, sre, sim)],
                     [(a * d + b * c) >> W for a, b, c, d in zip(tre, tim, sre, sim)],
                 )
-    return out
-
-
-def _zeta_line(a0, h, K):
-    """[zeta(a0 + i k h) for k = 0..K]; reflects through the functional
-    equation when Re(a0) < -1 (the direct Euler-Maclaurin partial sum would
-    lose ~|Re a0| * log10(N) digits to cancellation there)."""
-    a0 = _to_mp(a0)
-    if mp.re(a0) >= -1:
-        return _zeta_line_em(a0, h, K)
-    h = mpf(h)
-    inner = _zeta_line_em(1 - a0, -h, K)
-    gline = _gamma_line(1 - a0, -h, K)
-    x0 = mp.re(a0)
-    sin_half = mp.sin(mp.pi * x0 / 2)
-    cos_half = mp.cos(mp.pi * x0 / 2)
-    e_pos = mp.exp(mp.pi * mp.im(a0) / 2)
-    e_neg = 1 / e_pos
-    e_step = mp.exp(mp.pi * h / 2)
-    e_step_inv = 1 / e_step
-    front = mp.exp(a0 * mp.ln(mpf(2)) + (a0 - 1) * mp.ln(mp.pi))  # 2^s pi^(s-1)
-    front_step = mp.exp(mpc(0, h) * (mp.ln(mpf(2)) + mp.ln(mp.pi)))
-    out = []
-    for k in range(K + 1):
-        cosh_half = (e_pos + e_neg) / 2
-        sinh_half = (e_pos - e_neg) / 2
-        sin_factor = sin_half * cosh_half + mpc(0, 1) * cos_half * sinh_half
-        out.append(front * sin_factor * gline[k] * inner[k])
-        front *= front_step
-        e_pos *= e_step
-        e_neg *= e_step_inv
     return out
 
 

@@ -12,7 +12,6 @@ from su3asym.harness import (
     compare_table,
     expansion_residual,
     log_G_direct,
-    r_asymptotic,
 )
 from su3asym.saddle_expansion import constants
 
@@ -30,18 +29,9 @@ def test_big_A_input_guard():
         big_A(0)
 
 
-def test_r_asymptotic_close_to_exact_at_ten_thousand():
-    n = 10000
-    exact = mpf(r_exact(n)[n])
-    ratio = exact / mp.exp(r_asymptotic(n, 2))
-    assert mpf("0.98") < ratio < mpf("1.0")
-
-
-def test_r_asymptotic_guards():
-    with pytest.raises(ValueError):
-        r_asymptotic(0, 2)
-    with pytest.raises(ValueError):
-        r_asymptotic(100, -1)
+def test_compare_table_ratio_close_to_exact_at_ten_thousand():
+    (row,) = [row for row in compare_table([10000], 2).rows if row.L == 2]
+    assert mpf("0.98") < row.ratio < mpf("1.0")
 
 
 def test_log_G_direct_matches_partial_sums():

@@ -317,7 +317,7 @@ def _em_remainder_bound(s, N, depth):
 
 
 def _zeta_line_tolerance(s, dps):
-    """Truncation plus rounding allowance for one node of _zeta_line_em.
+    """Truncation plus rounding allowance for one node of _zeta_line.
 
     The kernel's cutoff is at least N = 1.35 dps + 12 (it grows with the
     height, which only shrinks the remainder); the rounding allowance is a
@@ -327,39 +327,43 @@ def _zeta_line_tolerance(s, dps):
     return _em_remainder_bound(s, N, _EM_DEPTH) + mpf(10) ** (3 - dps) * max(1, mpf(N) ** (1 - sigma))
 
 
+def _absolute(s, dps, want):
+    return _zeta_line_tolerance(s, dps)
+
+
+def _relative_to_reflection(s, dps, want):
+    """Relative allowance that zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
+    zeta(1-s) would meet: its factors' rounding plus the allowance of zeta(1-s)."""
+    return (mpf(10) ** (3 - dps) + _zeta_line_tolerance(1 - s, dps)) * abs(want)
+
+
+def _relative(s, dps, want):
+    return mpf(10) ** (3 - dps) * abs(want)
+
+
 @pytest.mark.parametrize("dps", [34, 60])
 @pytest.mark.parametrize(
-    "a0, h",
+    "a0, h, allowance",
     [
-        (mpc("4.7", "-3.1"), mpf("0.0511")),  # the zeta(2s+z) line of the overlap strip
-        (mpc("-0.4", "2.2"), mpf("-0.0511")),  # crosses the critical strip downwards
+        (mpc("4.7", "-3.1"), mpf("0.0511"), _absolute),  # the zeta(2s+z) line of the overlap strip
+        (mpc("-0.4", "2.2"), mpf("-0.0511"), _absolute),  # crosses the critical strip downwards
+        (mpc("-6.5", "0.3"), mpf("0.0511"), _relative_to_reflection),
+        # past Re(a0) = -25, where sigma + 2 _EM_DEPTH - 1 < 0: the depth starts
+        # higher; the kernel's absolute target 10^-(dps - 10) is below
+        # 10^(3 - dps) |zeta| on this line, where |zeta| > 10^7
+        (mpc("-30.5", "0.3"), mpf("0.0511"), _relative),
     ],
+    ids=["right", "critical-strip", "left", "far-left"],
 )
-def test_zeta_line_euler_maclaurin_branch_matches_pointwise(dps, a0, h):
+def test_zeta_line_matches_pointwise(dps, a0, h, allowance):
     mp.dps = dps
     values = _zeta_line(a0, h, LINE_NODES[-1])
     for k in LINE_NODES:
-        s = a0 + mpc(0, k * h)
         with mp.workdps(dps + 10):
+            s = a0 + mpc(0, k * h)
             want = zeta_complex(s)
         err = abs(values[k] - want)
-        assert err < _zeta_line_tolerance(s, dps), f"dps={dps} node {k}: error {mp.nstr(err, 3)}"
-
-
-@pytest.mark.parametrize("dps", [34, 60])
-def test_zeta_line_reflected_branch_matches_pointwise(dps):
-    # Re(a0) < -1: zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s), with
-    # zeta(1-s) from the Euler-Maclaurin line and Gamma(1-s) from _gamma_line
-    mp.dps = dps
-    a0, h = mpc("-6.5", "0.3"), mpf("0.0511")
-    values = _zeta_line(a0, h, LINE_NODES[-1])
-    for k in LINE_NODES:
-        s = a0 + mpc(0, k * h)
-        with mp.workdps(dps + 10):
-            want = zeta_complex(s)
-        rel = abs(values[k] - want) / abs(want)
-        tol = mpf(10) ** (3 - dps) + _zeta_line_tolerance(1 - s, dps)
-        assert rel < tol, f"dps={dps} node {k}: relative error {mp.nstr(rel, 3)}"
+        assert err < allowance(s, dps, want), f"dps={dps} node {k}: error {mp.nstr(err, 3)}"
 
 
 @pytest.mark.parametrize("dps", [34, 60])
@@ -514,6 +518,20 @@ def test_mb_error_claim_holds_at_150_digits():
     err = abs(res.value - omega_result(res.s_evaluated, method="mb").value)
     assert err <= res.est_error, (
         f"|value - rerun| = {mp.nstr(err, 3)} exceeds est_error {mp.nstr(res.est_error, 3)}"
+    )
+
+
+def test_mb_far_left_contour_agrees_with_the_default_shift():
+    # M = 30 puts the zeta(s - z) line at Re = -30.8, past Re = -25, where the
+    # Euler-Maclaurin depth starts above _EM_DEPTH and the line needs its guard bits
+    mp.dps = 60
+    s = mpf("-1.3")
+    far = omega_result(s, method="mb", M=30)
+    default = omega_result(s, method="mb")
+    diff = abs(far.value - default.value)
+    assert diff <= far.est_error + default.est_error, (
+        f"|v_30 - v_default| = {mp.nstr(diff, 3)} exceeds "
+        f"est_30 + est_default = {mp.nstr(far.est_error + default.est_error, 3)}"
     )
 
 
