@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from su3asym import exact_counting
 from su3asym.exact_counting import (
     EXACT_LIMIT,
     _euler_product,
+    _sweep,
     hr_estimate,
     log_r_float64,
     p_exact,
@@ -66,13 +68,46 @@ def test_r_exact_first_values():
 
 
 def test_r_exact_matches_per_cell_sweep():
-    assert r_exact(2000) == per_cell_counts(su3_parts(2000), 2000)
+    # r(2000) has 113 bits and r(5000) 177: three and four 48-bit limb planes
+    for limit in (2000, 5000):
+        assert r_exact(limit) == per_cell_counts(su3_parts(limit), limit)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=600))
 def test_r_exact_matches_per_cell_sweep_property(limit):
     assert r_exact(limit) == per_cell_counts(su3_parts(limit), limit)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=600))
+def test_r_exact_with_8_bit_limbs_matches_per_cell_sweep(limit):
+    # Narrow limbs give up to 9 planes, a carry every few sweeps and carry
+    # ripples through every plane
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_counting, "_LIMB_BITS", 8)
+        counts = r_exact(limit)
+    assert counts == per_cell_counts(su3_parts(limit), limit)
+
+
+def test_exact_counts_with_56_bit_limbs_halve_long_sweeps(monkeypatch):
+    # After a carry a 56-bit limb has room for a sweep of at most 126 rows, so
+    # the first parts' sweeps go through (1 + q^d) (1 - q^2d)^-1 here
+    monkeypatch.setattr(exact_counting, "_LIMB_BITS", 56)
+    assert r_exact(2000) == per_cell_counts(su3_parts(2000), 2000)
+    assert p_exact(2000) == per_cell_counts([(d, 1) for d in range(1, 2001)], 2000)
+
+
+def test_r_exact_raises_when_a_carry_would_leave_the_top_plane(monkeypatch):
+    planes_needed = exact_counting._planes_needed
+    one_short = planes_needed(su3_parts(5000), 5000) - 1
+    # r(5000) has 177 bits: one plane fewer than the bound cannot hold it
+    assert r_exact(5000)[-1].bit_length() > exact_counting._LIMB_BITS * one_short
+    monkeypatch.setattr(
+        exact_counting, "_planes_needed", lambda parts, limit: planes_needed(parts, limit) - 1
+    )
+    with pytest.raises(OverflowError):
+        r_exact(5000)
 
 
 def test_exact_counts_are_python_ints():
@@ -135,7 +170,9 @@ def test_log_r_float64_overflow_raises_without_numpy_warning():
 
 
 def test_log_r_float64_tracks_exact():
-    assert max_relative_log_error(log_r_float64(3000), r_exact(3000)) < 1e-13
+    # r(20000) has 339 bits, so a wrong carry into a high limb shows here
+    for limit in (3000, 20000):
+        assert max_relative_log_error(log_r_float64(limit), r_exact(limit)) < 1e-13
 
 
 @pytest.mark.parametrize("limit", [0, 1, 2])
@@ -154,11 +191,28 @@ def test_log_r_float64_matches_exact_property(limit):
 
 
 def test_euler_product_coeffs_single_part():
-    # One part of size 2: coefficients of 1/(1 - q^2), in either dtype
-    for dtype in (object, np.float64):
-        coeffs = _euler_product([(2, 1)], 7, dtype)
-        assert coeffs.dtype == dtype
-        assert coeffs.tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
+    # One part of size 2: coefficients of 1/(1 - q^2), exactly and in float64
+    assert _euler_product([(2, 1)], 7) == [1, 0, 1, 0, 1, 0, 1, 0]
+    coeffs = np.zeros(8)
+    coeffs[0] = 1
+    _sweep(coeffs, 2)
+    assert coeffs.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "count", [r_exact, p_exact, log_r_float64, r_exact_via_exp], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "limit, error, match",
+    [
+        pytest.param(-1, ValueError, "limit must be nonnegative", id="negative"),
+        pytest.param(2.5, TypeError, "float", id="float"),
+        pytest.param("7", TypeError, "str", id="str"),
+    ],
+)
+def test_counts_reject_bad_limit(count, limit, error, match):
+    with pytest.raises(error, match=match):
+        count(limit)
 
 
 def test_p_exact_known_values():
