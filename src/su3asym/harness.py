@@ -12,8 +12,11 @@ logarithm; only ratios and scaled residuals are materialized as plain reals.
 Provided operations:
 
 * ``big_A``            -- log A(n).
-* ``log_G_direct``     -- Log G(e^(-z)) summed over the dimension spectrum
-                          with a certified geometric tail bound.
+* ``log_G_direct``     -- Log G(e^(-z)) over the dimension spectrum, with a
+                          certified geometric tail bound: one fixed-point
+                          product of the factors (1 - e^(-z d))^mult(d), one
+                          mp.log of it, and the branch of every term's Log
+                          restored from a float64 sum of their arguments.
 * ``asymptotic_log_G`` -- the truncated expansion of Log G(e^(-z)):
                           2^(2/3) 3 X^(10/3)/z^(2/3) - sqrt(2) Y/z^(1/2)
                           - (1/3) Log z + (1/3) log(16 pi^3)
@@ -29,6 +32,8 @@ Provided operations:
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -106,6 +111,24 @@ def log_G_direct(z):
     satisfy mult(d) <= 2 d^(1/3) <= d, and |Log(1 - w)| <= |w|/(1 - |w|),
     so the tail beyond D is at most x^(D+1) (D+1) / (1-x)^3 with
     x = e^(-Re z).
+
+    Below D the sum is one product P = prod_d (1 - y_d)^mult(d) with
+    y_d = e^(-z d), in W-bit fixed point: real and imaginary parts are Python
+    ints scaled by 2^W, and P carries a binary exponent of its own so that it
+    keeps W bits as it shrinks or grows.  y steps along the sorted parts as
+    y_d' = y_d e^(-z (d' - d)), one mp.exp per distinct gap, and a single
+    mp.log of P ends it.  Every Log(1 - y_d) stays on its principal branch:
+    the sum of mult(d) Arg(1 - y_d), carried in float64 and off by about 1e-16
+    a term, picks the multiple of 2 pi i that Log P drops.  A real z has zero
+    imaginary parts throughout and returns an mpf.
+
+    Rounding: each fixed-point step rounds by at most 2^(1-W) a component, so
+    the k-th y_d is off by at most k 2^(3-W), and each factor 1 - y_d, of
+    modulus at least 1 - x, by k 2^(3-W)/(1 - x) relative.  Over
+    #factors = sum mult(d) multiplications Log G is off by at most
+    #factors (#parts/(1 - x) + 1) 2^(3-W) absolute.  Both counts are at most
+    D, and 1/(1 - x) at most D + 1 once the tail bound holds, so
+    W = mp.prec + 3 bitlen(D) + 4 keeps this below 2^(-mp.prec).
     """
     z = _to_mp(z)
     if not mp.re(z) > 0:
@@ -120,11 +143,35 @@ def log_G_direct(z):
         limit = 64
         while x ** (limit + 1) * (limit + 1) / one_minus_x**3 >= target:
             limit *= 2
-        total = mpc(0) if isinstance(zz, mpc) else mpf(0)
-        for d, mult in su3_parts(limit):
-            total -= mult * mp.log(1 - mp.exp(-zz * d))
-        total = +total
-    return total
+        W = mp.prec + 3 * limit.bit_length() + 4
+        one = 1 << W
+        steps = {}  # gap -> e^(-z gap) in fixed point
+        yr, yi, last = one, 0, 0  # y_d at the last part d
+        pr, pi, scale = one, 0, -W  # P = (pr + i pi) 2^scale, pr or pi of W bits
+        arg = 0.0  # sum of mult(d) Arg(1 - y_d)
+        with mp.workprec(W):
+            for d, mult in su3_parts(limit):
+                step = steps.get(d - last)
+                if step is None:
+                    e = mp.exp(-zz * (d - last))
+                    step = steps[d - last] = (
+                        int(mp.ldexp(mp.re(e), W)),
+                        int(mp.ldexp(mp.im(e), W)),
+                    )
+                sr, si = step
+                yr, yi = (yr * sr - yi * si) >> W, (yr * si + yi * sr) >> W
+                last = d
+                fr, fi = one - yr, -yi
+                arg += mult * math.atan2(fi / one, fr / one)
+                for _ in range(mult):
+                    pr, pi = pr * fr - pi * fi, pr * fi + pi * fr
+                    cut = max(abs(pr), abs(pi)).bit_length() - W
+                    pr, pi, scale = pr >> cut, pi >> cut, scale + cut - W
+            log_p = mp.log(mpc(pr, pi)) + scale * mp.ln2
+            turns = round((arg - float(log_p.imag)) / (2 * math.pi))
+            out = -log_p - mpc(0, 2 * turns) * mp.pi
+        out = +out.real if isinstance(zz, mpf) else +out
+    return out
 
 
 # -- the truncated expansion of Log G and its residual -------------------------------
@@ -179,13 +226,10 @@ def expansion_residual(z, eta):
     The defining property of the expansion is that this residual is
     O(|z|^eta) as z -> 0 inside the cone |Arg z| <= pi/4.
     """
-    z = _to_mp(z)
-    if abs(mp.arg(z)) > mp.pi / 4 + mpf("1e-15"):
-        raise ValueError("z must lie in the cone |Arg z| <= pi/4")
-    eta = _validate_eta(eta)
     prec = working_digits()
     with mp.workdps(prec + 10):
-        out = abs(log_G_direct(z) - asymptotic_log_G(z, eta))
+        asym = asymptotic_log_G(z, eta)  # checks z and eta before the direct sum
+        out = abs(log_G_direct(z) - asym)
     return +out
 
 
@@ -264,10 +308,7 @@ def compare_table(n_list, L_max: int, approx_beyond_exact: bool = False) -> Comp
         if len(pts) < 3:
             fitted[L] = None
             continue
-        import numpy as np
-
-        xs = np.array([float(mp.log(n)) for n, _ in pts])
-        ys = np.array([float(mp.log(abs(r))) for _, r in pts])
-        slope, _intercept = np.polyfit(xs, ys, 1)
-        fitted[L] = float(slope)
+        xs = [float(mp.log(n)) for n, _ in pts]
+        ys = [float(mp.log(abs(r))) for _, r in pts]
+        fitted[L] = statistics.linear_regression(xs, ys).slope
     return ComparisonTable(rows=tuple(rows), fitted_exponent=fitted)

@@ -129,6 +129,7 @@ class LadderPolys:
 
 _CONSTANTS_CACHE: dict = {}
 _LADDER_CACHE: dict = {}
+_NU_CACHE: dict = {}
 
 
 def constants() -> ExpansionConstants:
@@ -206,13 +207,18 @@ def nu_coeff(m: int):
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
     prec = working_digits()
+    hit = _NU_CACHE.get((m, prec))
+    if hit is not None:
+        return hit
     with mp.workdps(prec + 15):
         factorial_ratio = math.factorial(6 * m + 6) // math.factorial(3 * m + 3)
         front = mp.sqrt(2 * mp.pi) / ((16 * mp.pi) ** 3 * (mpf(8) ** 5 * mp.pi**4) ** m)
         combinatorial = mpf(math.comb(2 * m, m)) / (m + 1) * factorial_ratio
         zetas = mp.re(zeta_complex(m + mpf(1) / 2)) * mp.re(zeta_complex(3 * m + mpf(7) / 2))
         out = front * combinatorial * zetas
-    return +out
+    out = +out
+    _NU_CACHE[(m, prec)] = out
+    return out
 
 
 # -- Laurent expansion of the main term --------------------------------------------

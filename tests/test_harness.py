@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from mpmath import mp, mpf, mpc
 
-from su3asym.exact_counting import EXACT_LIMIT, r_exact
+from su3asym.exact_counting import EXACT_LIMIT, r_exact, su3_parts
 from su3asym.harness import (
     asymptotic_log_G,
     big_A,
@@ -49,6 +49,40 @@ def test_log_G_direct_conjugate_symmetry():
     assert abs(mp.conj(a) - b) < mpf("1e-55")
 
 
+def _log_G_termwise(z):
+    """-sum_d mult(d) Log(1 - e^(-z d)), one principal-branch Log per part.
+
+    Summed 15 digits above the working precision up to
+    D = (digits + 30) ln 10 / Re z.  For the z tested here the tail bound
+    e^(-Re z D) D/(1 - e^(-Re z))^3 is then below 10^-(digits + 15).
+    """
+    digits = mp.dps
+    with mp.workdps(digits + 15):
+        cutoff = int((digits + 30) * mp.log(10) / mp.re(z)) + 1
+        total = -sum(mult * mp.log(1 - mp.exp(-z * d)) for d, mult in su3_parts(cutoff))
+    return total
+
+
+@pytest.mark.parametrize(
+    "z",
+    [mpf("0.2"), mpf("0.003125"), mpc("0.05", "0.04"), mpc("0.05", "-0.04")],
+    ids=["0.2", "0.003125", "0.05+0.04i", "0.05-0.04i"],
+)
+def test_log_G_direct_matches_termwise_principal_logs(z):
+    got = log_G_direct(z)
+    assert isinstance(got, type(z))
+    assert abs(got - _log_G_termwise(z)) < mpf("1e-60")
+
+
+def test_log_G_direct_keeps_each_log_principal_at_100_digits():
+    with mp.workdps(100):
+        z = mpc("0.05", "0.04")
+        got = log_G_direct(z)
+        # Im Log G is about -9.62, so one principal Log of the product is off by 4 pi i
+        assert got.imag < -3 * mp.pi
+        assert abs(got - _log_G_termwise(z)) < mpf("1e-100")
+
+
 def test_log_G_direct_requires_positive_real_part():
     with pytest.raises(ValueError):
         log_G_direct(mpf("-0.1"))
@@ -73,6 +107,13 @@ def test_asymptotic_log_G_cone_guard():
 def test_expansion_residual_magnitude():
     res = expansion_residual(mpf("0.1"), mpf("1.25"))
     assert mpf("1e-8") < res < mpf("1e-6")  # the first omitted term is nu_1 z^1.5 ~ 3e-7
+
+
+def test_expansion_residual_input_guards():
+    with pytest.raises(ValueError):
+        expansion_residual(mpc("0.1", "0.2"), mpf("2.25"))  # |Arg z| > pi/4
+    with pytest.raises(ValueError):
+        expansion_residual(mpf("0.1"), mpf("1.5"))  # a half-integer eta
 
 
 def test_expansion_residual_shrinks_with_eta():

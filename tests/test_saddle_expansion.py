@@ -213,3 +213,18 @@ def test_nu_is_the_residue_of_omega_at_half_minus_m(m):
         * omega_residue("half_minus_m", m + 1)
     )
     assert _rel(nu_coeff(m), want) < mpf("1e-55")
+
+
+def test_nu_coeff_cache_is_keyed_by_precision():
+    # a cache keyed by m alone would hand the 30-digit value back at 100 digits
+    with mp.workdps(30):
+        nu_coeff(1)
+    with mp.workdps(100):
+        w = -mpf(3) / 2
+        want = (
+            gamma_complex(w)
+            * zeta_complex(-mpf(1) / 2)
+            * mpf(2) ** w
+            * omega_residue("half_minus_m", 2)
+        )
+        assert _rel(nu_coeff(1), want) < mpf("1e-95")
