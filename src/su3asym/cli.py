@@ -18,20 +18,21 @@ Subcommands
     C_0..C_L, as JSON or CSV.
 
 ``compare``
-    Exact counts vs the truncated asymptotic expansion at chosen n, as CSV,
-    including the scaled residuals R_L and their fitted decay exponents.
+    Counts (exact to n = 50000, float64 beyond) vs the truncated asymptotic
+    expansion at chosen n, as CSV, including the scaled residuals R_L and
+    their fitted decay exponents.
 
 ``residual``
     Log G(e^(-z)) computed directly from the dimension spectrum vs the
     truncated asymptotic form, and the scaled difference |residual|/|z|^eta.
 
 All numerical output is produced at the current working precision (default
-60 significant digits; override with the RN_PREC environment variable or the
-per-command ``--prec`` flag).  Argument parsing only checks that numbers
-parse; each command converts them to mpf/mpc after ``main`` has set the
-precision, so every digit given on the command line is kept.  Library errors
-(``ValueError``, poles of omega and mpmath's ``NoConvergence``) print
-``error: ...`` and exit with 2.
+60 significant digits; override with the per-command ``--prec`` flag).
+Argument parsing only checks that numbers parse; each command converts them
+to mpf/mpc after ``main`` has set the precision, so every digit given on the
+command line is kept.  Library errors
+(``ValueError``, ``OverflowError``, poles of omega and mpmath's
+``NoConvergence``) print ``error: ...`` and exit with 2.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from mpmath import mp, mpc, mpf
 
 from .exact_counting import EXACT_LIMIT, r_exact, r_exact_via_exp
 from .harness import compare_table, log_G_direct, asymptotic_log_G
-from .precision import MIN_DIGITS, set_working_digits, working_digits
+from .precision import DEFAULT_DIGITS, MIN_DIGITS, set_working_digits, working_digits
 from .saddle_expansion import c_constants, constants
 from .witten_zeta import WittenZetaPoleError, omega_result, trivial_zeros, verify_zeta_identity
 
@@ -199,7 +200,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    table = compare_table(args.n, args.terms, approx_beyond_exact=args.approx_beyond_exact)
+    table = compare_table(args.n, args.terms)
     out = sys.stdout
     out.write("n,L,log_r_exact,log_r_asym,ratio,residual_scaled,fitted_exponent\n")
     for row in table.rows:
@@ -252,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="DIGITS",
-        help=f"working precision in decimal digits (>= {MIN_DIGITS}; default from RN_PREC or 60)",
+        help=f"working precision in decimal digits (>= {MIN_DIGITS}; default {DEFAULT_DIGITS})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -306,14 +307,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cp = sub.add_parser("compare", parents=[common], help="exact counts vs truncated expansion")
     p_cp.add_argument(
-        "--n", type=_parse_int_list, required=True, help="comma-separated list of n values"
+        "--n",
+        type=_parse_int_list,
+        required=True,
+        help=f"comma-separated list of n values; counted exactly up to {EXACT_LIMIT}, "
+        "in float64 (15 digits) beyond, up to 234312",
     )
     p_cp.add_argument("--terms", type=int, default=2, metavar="L", help="largest C_j order (default 2)")
-    p_cp.add_argument(
-        "--approx-beyond-exact",
-        action="store_true",
-        help=f"allow n beyond the exact cap {EXACT_LIMIT} via the float64 log-domain counter",
-    )
     p_cp.set_defaults(func=_cmd_compare)
 
     p_rs = sub.add_parser(
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
         if args.prec is not None:
             set_working_digits(args.prec)
         return args.func(args)
-    except (ValueError, WittenZetaPoleError, mp.NoConvergence) as exc:
+    except (ValueError, OverflowError, WittenZetaPoleError, mp.NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

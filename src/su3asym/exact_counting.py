@@ -16,13 +16,14 @@ Everything here but the float64 fallback is exact integer arithmetic:
 
 * :func:`su3_parts` enumerates (d, mult(d)) up to a limit,
 * :func:`r_exact` runs the Euler-product DP ``_euler_product`` on them in
-  exact integers, held as uint64 limb planes of 48-bit digits with deferred
-  carries (with a guard cap on the range),
+  exact integers, held as uint64 limb planes of 48-bit digits, one sweep
+  per factor with deferred carries (with a guard cap on the range),
 * :func:`r_exact_via_exp` recomputes r(n) through exp(log G) by the
   integer recurrence n r(n) = sum_k sigma(k) r(n-k) — an algorithmically
   independent route used by the CLI ``--oracle-check`` and the tests,
 * :func:`p_exact` / :func:`hr_estimate` are the ordinary-partition analogue
-  and its Hardy-Ramanujan first-order estimate (useful as a sanity anchor),
+  and its Hardy-Ramanujan first-order estimate (useful as a sanity anchor);
+  p_exact shares the DP and its cap,
 * :func:`log_r_float64` is the same DP in float64 for n beyond the exact cap,
   good up to n ≈ 2.3e5.
 """
@@ -34,10 +35,10 @@ import operator
 
 from mpmath import mp, mpf
 
-# r_exact refuses ranges beyond this.  At the cap the limb-plane DP takes
-# about 2-2.5 s and 12 planes of 50,001 uint64 limbs (4.8 MB; r(50000) has
-# 515 bits), five times its time at 20,000; beyond it callers want the
-# float64 route.
+# r_exact and p_exact refuse ranges beyond this.  At the cap the limb-plane
+# DP takes about 2-2.5 s and 12 planes of 50,001 uint64 limbs (4.8 MB;
+# r(50000) has 515 bits), five times its time at 20,000; beyond it callers
+# want the float64 route.
 EXACT_LIMIT = 50_000
 
 # Bits per limb of the exact DP, a multiple of 8.  After a carry every limb
@@ -93,25 +94,14 @@ def _planes_needed(parts, limit: int) -> int:
 
     For any 0 < x < 1, each coefficient up to q^limit of the product, and of
     every partial product the DP passes through, is at most
-    x^-limit prod (1 - x^d)^-mult.  A golden-section search for the x that
-    minimises it puts it 9-14 bits above log2 r(limit) for limit 600..50000.
+    x^-limit prod (1 - x^d)^-mult.  Here x = e^-t at t = (5.31/limit)^0.6,
+    the saddle point of limit t + 7.97 t^(-2/3), whose last term leads
+    log G(e^-t).  The bound lies 14-26 bits above log2 r(limit) for limit
+    600..50000.
     """
-    import numpy as np
-
-    d, mult = np.array(parts, dtype=np.float64).reshape(-1, 2).T
-
-    def log2_bound(u):  # at x = exp(-exp(u))
-        t = math.exp(u)
-        return (limit * t - (mult * np.log(-np.expm1(-t * d))).sum()) / math.log(2)
-
-    lo, hi = math.log(1e-6), math.log(10.0)
-    for _ in range(30):
-        u1, u2 = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
-        if log2_bound(u1) < log2_bound(u2):
-            hi = u2
-        else:
-            lo = u1
-    return math.ceil((log2_bound(lo) + 1) / _LIMB_BITS)
+    t = (5.31 / max(limit, 1)) ** 0.6
+    log_bound = limit * t - sum(mult * math.log(-math.expm1(-t * d)) for d, mult in parts)
+    return math.ceil((log_bound / math.log(2) + 1) / _LIMB_BITS)
 
 
 def _carry(planes, used: int) -> int:
@@ -144,38 +134,31 @@ def _euler_product(parts, limit: int) -> list[int]:
     Each factor is one :func:`_sweep` of an array of uint64 limb planes,
     shape (planes, limit + 1): plane k holds each coefficient's k-th digit
     in base 2^_LIMB_BITS.  Carries are deferred.  One bound on every limb is
-    kept; a sweep of rows rows multiplies it by rows + 1, and the planes are
-    carried only when the next sweep could take a limb past 2^63 (the bit
-    above leaves room for the carries a ripple adds).  Only the planes in use
-    are swept, so the early sweeps, which have the most rows, run on one or
-    two planes, and with one plane each row is one 1-D numpy addition.
+    kept; a sweep by d multiplies it by (limit + 1) // d + 1, and the planes
+    are carried only when the next sweep could take a limb past 2^63 (the bit
+    above leaves room for the carries a ripple adds).  A sweep too long to
+    fit even right after a carry raises OverflowError; with 48-bit limbs up
+    to EXACT_LIMIT only d = 1 is that long, and it comes first, before any
+    carry.  Only the planes in use are swept, so the early sweeps,
+    which have the most rows, run on one or two planes, and with one plane
+    each row is one 1-D numpy addition.
     """
     import numpy as np  # here, so that importing the CLI does not load numpy
 
     planes = np.zeros((_planes_needed(parts, limit), limit + 1), dtype=np.uint64)
     planes[0, 0] = 1
     used, bound = 1, 1  # planes that may hold nonzero limbs; a bound on every limb
-    carried = (1 << _LIMB_BITS) - 1  # the bound right after a carry
-
-    def grown(factor):
-        """The planes in use, carried first if a limb times factor could pass 2^63."""
-        nonlocal used, bound
-        if bound * factor >= 2**63:
-            used, bound = _carry(planes, used), carried
-        bound *= factor
-        return planes[0] if used == 1 else planes[:used]
-
     for d, mult in parts:
+        growth = (limit + 1) // d + 1
         for _ in range(mult):
-            # (1 - q^d)^-1 = (1 + q^d) (1 - q^2d)^-1: a sweep with too many rows
-            # to fit between two carries becomes a shifted add and a sweep with
-            # half as many rows (only p_exact beyond limit 131,070 needs this)
-            step = d
-            while min(bound, carried) * ((limit + 1) // step + 1) >= 2**63:
-                v = grown(2)
-                v[..., step:] += v[..., :-step]
-                step *= 2
-            _sweep(grown((limit + 1) // step + 1), step)
+            if bound * growth >= 2**63:
+                used, bound = _carry(planes, used), (1 << _LIMB_BITS) - 1
+                if bound * growth >= 2**63:
+                    raise OverflowError(
+                        f"a sweep by {d} to q^{limit} does not fit in {_LIMB_BITS}-bit limbs"
+                    )
+            bound *= growth
+            _sweep(planes[0] if used == 1 else planes[:used], d)
     used = _carry(planes, used)
 
     # Each count's limbs, low _LIMB_BITS bits of each, as little-endian bytes.
@@ -227,8 +210,10 @@ def r_exact_via_exp(limit: int) -> list[int]:
 
 
 def p_exact(limit: int) -> list[int]:
-    """[p(0), ..., p(limit)] for ordinary partitions, same DP with parts 1..limit."""
+    """[p(0), ..., p(limit)] for ordinary partitions: r_exact's DP and cap, parts 1..limit."""
     limit = _check_limit(limit)
+    if limit > EXACT_LIMIT:
+        raise ValueError(f"limit {limit} exceeds the exact-range cap {EXACT_LIMIT}")
     return _euler_product([(d, 1) for d in range(1, limit + 1)], limit)
 
 

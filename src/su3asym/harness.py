@@ -27,7 +27,10 @@ Provided operations:
 * ``compare_table``    -- rows of exact-vs-asymptotic data with the scaled
                           residuals R_L(n) = r(n) n^(3/5)/A(n)
                           - sum_{j<=L} C_j n^(-j/10) and fitted decay
-                          exponents of |R_L| across the sample points.
+                          exponents of |R_L| across the sample points;
+                          r(n) is counted exactly up to EXACT_LIMIT = 50000
+                          and in float64 beyond, which overflows (raising
+                          OverflowError) beyond n = 234,312.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class ComparisonRow:
     ``ratio`` is r(n) / asymptotic, ``residual_scaled`` is
     R_L(n) = r(n) n^(3/5) / A(n) - sum_{j<=L} C_j n^(-j/10), and
     ``log_r_exact`` comes from the big-integer count (``source`` "exact") or,
-    beyond the exact cap when requested, from the float64 log-domain count
-    (``source`` "float64", good to about 15 significant digits).
+    beyond the exact cap, from the float64 log-domain count (``source``
+    "float64", good to about 15 significant digits).
     """
 
     n: int
@@ -236,16 +239,10 @@ def expansion_residual(z, eta):
 # -- exact-vs-asymptotic comparison table --------------------------------------------
 
 
-def _log_r_values(n_list, approx_beyond_exact: bool):
+def _log_r_values(n_list):
     """(log r(n), source) for each requested n: exact big-int DP, float64 beyond."""
     exact_ns = [n for n in n_list if n <= EXACT_LIMIT]
     large_ns = [n for n in n_list if n > EXACT_LIMIT]
-    if large_ns and not approx_beyond_exact:
-        raise ValueError(
-            f"n values {large_ns} exceed the exact-count cap {EXACT_LIMIT}; "
-            "pass approx_beyond_exact=True (--approx-beyond-exact on the command "
-            "line) to use the float64 log-domain count"
-        )
     out = {}
     if exact_ns:
         r = r_exact(max(exact_ns))
@@ -258,13 +255,16 @@ def _log_r_values(n_list, approx_beyond_exact: bool):
     return out
 
 
-def compare_table(n_list, L_max: int, approx_beyond_exact: bool = False) -> ComparisonTable:
+def compare_table(n_list, L_max: int) -> ComparisonTable:
     """Exact-vs-asymptotic rows for every n in n_list and every L <= L_max.
 
-    Each row carries the log of the exact count, the log of the truncated
+    Each row carries the log of the count, the log of the truncated
     expansion, their ratio, and the scaled residual R_L(n); per L, the
     least-squares slope of log|R_L| against log n over the sample points is
-    fitted (None with fewer than three points).
+    fitted (None with fewer than three points).  The count is exact for
+    n <= EXACT_LIMIT and float64 beyond (the row's ``source`` says which);
+    an n beyond 234,312, where r(n) exceeds float64's range, raises
+    OverflowError.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:
@@ -275,7 +275,7 @@ def compare_table(n_list, L_max: int, approx_beyond_exact: bool = False) -> Comp
         raise ValueError("L_max must be a nonnegative integer")
     prec = working_digits()
     cs = c_constants(L_max)
-    log_r = _log_r_values(n_list, approx_beyond_exact)
+    log_r = _log_r_values(n_list)
     rows = []
     residuals = {L: [] for L in range(L_max + 1)}
     with mp.workdps(prec + 10):

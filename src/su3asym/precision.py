@@ -1,13 +1,9 @@
 """Working-precision management for the whole package.
 
 Everything numerical here runs on mpmath's real/complex multiprecision types
-(``mpf``/``mpc``).  Precision is measured in significant decimal digits and is
-controlled in three ways, in increasing priority:
-
-* the package default (60 digits),
-* the environment variable ``RN_PREC`` (read once at import time),
-* explicit calls to :func:`set_working_digits` (made by the CLI ``--prec``
-  flag).
+(``mpf``/``mpc``).  Precision is measured in significant decimal digits.  It
+is 60 digits from import on, and :func:`set_working_digits` (called by the
+CLI ``--prec`` flag) changes it.
 
 A floor of 30 digits is enforced: the algorithms in this package
 (Euler-Maclaurin depths, contour steps, series guard digits) choose their
@@ -21,25 +17,10 @@ precision) take no locks.
 
 from __future__ import annotations
 
-import os
-
 from mpmath import mp
 
 MIN_DIGITS = 30
 DEFAULT_DIGITS = 60
-
-
-def _env_default() -> int:
-    raw = os.environ.get("RN_PREC")
-    if raw is None:
-        return DEFAULT_DIGITS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RN_PREC must be an integer, got {raw!r}") from exc
-    if value < MIN_DIGITS:
-        raise ValueError(f"RN_PREC must be >= {MIN_DIGITS}, got {value}")
-    return value
 
 
 def set_working_digits(digits: int) -> None:
@@ -54,5 +35,4 @@ def working_digits() -> int:
     return mp.dps
 
 
-# Apply the environment override once, at import time.
-set_working_digits(_env_default())
+set_working_digits(DEFAULT_DIGITS)

@@ -166,7 +166,7 @@ def _check_saddle_order(order: int) -> None:
         raise ValueError(
             f"order {order} exceeds {MAX_SADDLE_ORDER}; the series pipeline carries "
             "guard digits in proportion to the order, so raise the working precision "
-            "(set_working_digits / RN_PREC) and lift MAX_SADDLE_ORDER deliberately"
+            "(set_working_digits) and lift MAX_SADDLE_ORDER deliberately"
         )
 
 

@@ -539,10 +539,8 @@ def _mb_integral(s, M: int, digit_target: int):
     return value, est, h
 
 
-def _continued_result(s, M: int | None) -> OmegaResult:
+def _continued_result(s0, M: int | None) -> OmegaResult:
     prec = working_digits()
-    s0 = _to_mp(s)
-    _pole_guard(s0)
     # removable singularities: every integer s collides with a pole of some
     # factor of the formula (Gamma(1-s) and zeta(s-k) at positive integers;
     # Gamma(2s-1), zeta(2s+k) and the rising-factorial zeros at the rest), so

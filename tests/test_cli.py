@@ -164,9 +164,7 @@ def _significant_digits(text):
 
 
 def test_compare_beyond_exact_cap_prints_float_digits_only(capsys):
-    rc, out, _ = run(
-        capsys, "compare", "--n", "60000", "--terms", "1", "--approx-beyond-exact"
-    )
+    rc, out, _ = run(capsys, "compare", "--n", "60000", "--terms", "1")
     assert rc == 0
     header, *rows = out.strip().splitlines()
     cols = header.split(",")
@@ -180,11 +178,13 @@ def test_compare_beyond_exact_cap_prints_float_digits_only(capsys):
     assert abs(mpf(last["ratio"]) - 1) < mpf("0.05")
 
 
-def test_compare_beyond_exact_cap_names_the_flag(capsys):
-    rc, out, err = run(capsys, "compare", "--n", "60000")
+def test_compare_beyond_float64_range_is_an_error(capsys):
+    # r(234313) is the first count beyond float64's range
+    rc, out, err = run(capsys, "compare", "--n", "240000", "--terms", "0")
     assert rc == 2
     assert out == ""
-    assert "--approx-beyond-exact" in err
+    assert err.startswith("error: float64 DP overflowed")
+    assert "Traceback" not in err
 
 
 def test_residual_json(capsys):
@@ -211,17 +211,14 @@ def test_compare_formats_each_row_by_its_count_source(capsys):
     # the harness decides which rows are counted in float64; the CLI prints
     # those to 15 significant digits and the exact rows to full precision
     n_list = [2000, EXACT_LIMIT + 1]
-    table = compare_table(n_list, 1, approx_beyond_exact=True)
+    table = compare_table(n_list, 1)
     assert [(row.n, row.source) for row in table.rows] == [
         (2000, "exact"),
         (2000, "exact"),
         (EXACT_LIMIT + 1, "float64"),
         (EXACT_LIMIT + 1, "float64"),
     ]
-    rc, out, _ = run(
-        capsys, "compare", "--n", ",".join(map(str, n_list)), "--terms", "1",
-        "--approx-beyond-exact",
-    )
+    rc, out, _ = run(capsys, "compare", "--n", ",".join(map(str, n_list)), "--terms", "1")
     assert rc == 0
     header, *lines = out.strip().splitlines()
     cols = header.split(",")

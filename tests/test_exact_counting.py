@@ -90,22 +90,20 @@ def test_r_exact_with_8_bit_limbs_matches_per_cell_sweep(limit):
     assert counts == per_cell_counts(su3_parts(limit), limit)
 
 
-def test_exact_counts_with_56_bit_limbs_halve_long_sweeps(monkeypatch):
-    # After a carry a 56-bit limb has room for a sweep of at most 126 rows, so
-    # the first parts' sweeps go through (1 + q^d) (1 - q^2d)^-1 here
+def test_exact_counts_with_56_bit_limbs_refuse_long_sweeps(monkeypatch):
+    # After a carry a 56-bit limb has room for a sweep of at most 126 rows, and
+    # the sweeps of r(2000) that need a carry are longer: the DP must refuse
+    # them rather than risk a limb passing 2^63
     monkeypatch.setattr(exact_counting, "_LIMB_BITS", 56)
-    assert r_exact(2000) == per_cell_counts(su3_parts(2000), 2000)
-    assert p_exact(2000) == per_cell_counts([(d, 1) for d in range(1, 2001)], 2000)
+    with pytest.raises(OverflowError, match="56-bit limbs"):
+        r_exact(2000)
 
 
 def test_r_exact_raises_when_a_carry_would_leave_the_top_plane(monkeypatch):
-    planes_needed = exact_counting._planes_needed
-    one_short = planes_needed(su3_parts(5000), 5000) - 1
-    # r(5000) has 177 bits: one plane fewer than the bound cannot hold it
-    assert r_exact(5000)[-1].bit_length() > exact_counting._LIMB_BITS * one_short
-    monkeypatch.setattr(
-        exact_counting, "_planes_needed", lambda parts, limit: planes_needed(parts, limit) - 1
-    )
+    # r(5000) has 177 bits: three 48-bit planes, one fewer than it needs,
+    # cannot hold it
+    assert r_exact(5000)[-1].bit_length() > exact_counting._LIMB_BITS * 3
+    monkeypatch.setattr(exact_counting, "_planes_needed", lambda parts, limit: 3)
     with pytest.raises(OverflowError):
         r_exact(5000)
 
@@ -129,6 +127,11 @@ def test_r_exact_monotone_from_degree_three():
 def test_r_exact_cap_guard():
     with pytest.raises(ValueError):
         r_exact(EXACT_LIMIT + 1)
+
+
+def test_p_exact_cap_guard():
+    with pytest.raises(ValueError, match="exact-range cap"):
+        p_exact(EXACT_LIMIT + 1)
 
 
 def test_growth_bracket_observed():

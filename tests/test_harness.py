@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from mpmath import mp, mpf, mpc
 
-from su3asym.exact_counting import EXACT_LIMIT, r_exact, su3_parts
+from su3asym.exact_counting import r_exact, su3_parts
 from su3asym.harness import (
     asymptotic_log_G,
     big_A,
@@ -132,11 +132,6 @@ def test_compare_table_small_run():
     # scaled residuals shrink when another correction term is included
     r0 = [r for r in table.rows if r.n == 2000 and r.L == 0][0]
     assert abs(last.residual_scaled) < abs(r0.residual_scaled)
-
-
-def test_compare_table_exact_cap_guard():
-    with pytest.raises(ValueError):
-        compare_table([EXACT_LIMIT + 1], 0)
 
 
 def test_compare_table_fit_needs_three_points():
