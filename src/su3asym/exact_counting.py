@@ -232,12 +232,16 @@ def log_r_float64(limit: int):
     """log r(n) for n = 0..limit as a float64 numpy array (NaN-free).
 
     Runs the row sweeps of r_exact on one float64 plane.  Values overflow
-    float64 once r(n) > ~1e308 (first at n = 234,313); this raises if that
-    happens, without numpy's own overflow warning.
+    float64 once r(n) > ~1e308 (first at n = 234,313); a limit past that
+    raises before any work, and the finiteness check after the sweeps guards
+    the ceiling, without numpy's own overflow warning.
     """
     import numpy as np
 
     limit = _check_limit(limit)
+    overflow = OverflowError(f"float64 DP overflowed before n = {limit}; r(n) exceeds ~1e308")
+    if limit > 234_312:
+        raise overflow
     a = np.zeros(limit + 1)
     a[0] = 1
     with np.errstate(over="ignore"):
@@ -245,8 +249,6 @@ def log_r_float64(limit: int):
             for _ in range(mult):
                 _sweep(a, d)
     if not np.isfinite(a[-1]):
-        raise OverflowError(
-            f"float64 DP overflowed before n = {limit}; r(n) exceeds ~1e308"
-        )
+        raise overflow
     with np.errstate(divide="ignore"):
         return np.log(a)

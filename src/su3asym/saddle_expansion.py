@@ -235,10 +235,9 @@ def _poly_series_B(order: int, X, Y) -> PowerSeries:
 
 def _laurent_main_raw(order: int, X, Y) -> PowerSeries:
     B = _poly_series_B(order + 4, X, Y)
-    z = PowerSeries.identity(B.order, XPolynomial([mpf(1)]))
     expr = (
         B.pow_real(mpf(-2) / 3).scalar_mul(3 * X**2)
-        + (B.pow_real(mpf(-1) / 2) * z).truncate(B.order).scalar_mul(-Y / X)
+        + B.pow_real(mpf(-1) / 2).shift(1).truncate(B.order).scalar_mul(-Y / X)
         + B.scalar_mul(2 * X**2)
     )
     return expr.shift(-4).truncate(order + 1)

@@ -7,10 +7,12 @@ consistently, so the order of a result is always a guaranteed bound on what is
 actually known.  Valuations may be negative (Laurent tails), produced with
 :meth:`PowerSeries.shift`.
 
-Coefficients are mpmath ``mpf``/``mpc`` values or
-:class:`~su3asym.xpoly.XPolynomial` polynomials with such coefficients (the
-saddle pipeline), or ``Fraction`` values, which stay exact through every
-operation here (the exact tests).  Missing coefficients read as the int 0.
+This is the package's one series kernel.  Coefficients are mpmath
+``mpf``/``mpc`` values (the direct omega route's Taylor tables, each one
+``pow_real``), :class:`~su3asym.xpoly.XPolynomial` polynomials with such
+coefficients (the saddle pipeline), or ``Fraction`` values, which stay exact
+through every operation here (the exact tests).  The series x is
+``constant(1, order - 1).shift(1)``.  Missing coefficients read as the int 0.
 
 The analytic operations follow the classical O(n^2) recurrences:
 
@@ -39,14 +41,6 @@ class PowerSeries:
         self.order = order
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def identity(order: int, one=1):
-        """The series x (to the given truncation order)."""
-        coeffs = [one * 0] * (order - 1)
-        if order > 1:
-            coeffs[0] = one
-        return PowerSeries(coeffs, valuation=1, order=order)
 
     @staticmethod
     def constant(value, order: int):
@@ -160,19 +154,3 @@ class PowerSeries:
                     acc = acc + ((alpha + 1) * k - n) * a[k] * b[n - k]
             b.append(acc / n)
         return PowerSeries(b, 0, self.order)
-
-    # -- display ---------------------------------------------------------------
-
-    def __repr__(self):
-        parts = []
-        shown = 0
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"({c})*x^{self.valuation + i}")
-            shown += 1
-            if shown >= 8:
-                parts.append("...")
-                break
-        body = " + ".join(parts) if parts else "0"
-        return f"PowerSeries({body} + O(x^{self.order}))"

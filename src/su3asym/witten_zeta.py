@@ -88,6 +88,7 @@ from operator import mul
 from mpmath import mp, mpc, mpf
 
 from .precision import working_digits
+from .series import PowerSeries
 from .special_functions import (
     _to_mp,
     bernoulli_fraction,
@@ -169,30 +170,7 @@ def _pole_guard(s) -> None:
         )
 
 
-# -- coefficient-list helpers and the tail integral G2(a; s, w) ------------------
-
-
-def _binom_series(alpha, scale, n_terms, one):
-    """Coefficients of (1 + scale*u)^alpha through u^(n_terms - 1)."""
-    coeffs = [one]
-    cur = one
-    for q in range(n_terms - 1):
-        cur = cur * (alpha - q) / (q + 1) * scale
-        coeffs.append(cur)
-    return coeffs
-
-
-def _convolve(a, b, orders):
-    """Coefficients of the given orders of the product of two coefficient lists."""
-    out = []
-    for q in orders:
-        lo = max(0, q - len(b) + 1)
-        hi = min(q, len(a) - 1)
-        acc = a[lo] * b[q - lo]
-        for i in range(lo + 1, hi + 1):
-            acc += a[i] * b[q - i]
-        out.append(acc)
-    return out
+# -- the tail integral G2(a; s, w) ------------------------------------------------
 
 
 def _g2(s, w, x):
@@ -211,9 +189,8 @@ def _direct_allowed(sigma) -> bool:
     return sigma >= mpf(11) / 10
 
 
-def _direct_result(s) -> OmegaResult:
+def _direct_result(s0) -> OmegaResult:
     prec = working_digits()
-    s0 = _to_mp(s)
     sigma = mp.re(s0)
     if not _direct_allowed(sigma):
         raise ValueError(
@@ -244,7 +221,6 @@ def _direct_eval(s):
     R = _DIRECT_R
     if mp.im(s) == 0:
         s = mp.re(s)  # real arithmetic throughout
-    one = s * 0 + 1
     tol = mpf(10) ** (-(mp.dps - 4))  # rounding allowance per summed piece
     n_ord = 2 * R + 2
 
@@ -263,10 +239,17 @@ def _direct_eval(s):
     #   c_q = sum_i beta_i beta_(q-i) K^(-i) (j+K)^(-(q-i)),  beta_i = binom(-s, i),
     # which are polynomials in one variable per regime: in y = 1/(j+P) for
     # the rows 2j < P (K = P), and gamma_q j^(-q) for the rows 2j >= P
-    # (K = 2j), with gamma_q the coefficient at j = 1.
+    # (K = 2j), with gamma_q the coefficient at j = 1.  Each table is the
+    # coefficient list of one power of a quadratic, (1 + c1 u + c2 u^2)^(-s);
+    # gamma_q's is (1 + u/2)(1 + u/3) = 1 + 5u/6 + u^2/6.
+
+    def taylor(c1, c2=0):
+        """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(n_ord - 1)."""
+        return PowerSeries([mpf(1), c1, c2] + [0] * (n_ord - 3)).pow_real(-s).coeffs
+
     est = mpf(0)
-    beta = _binom_series(-s, one, n_ord, one)
-    at_P = _binom_series(-s, 1 / mpf(P), n_ord, one)
+    beta = taylor(mpf(1))
+    at_P = taylor(1 / mpf(P))
     # sum_r B_2r/(2r) c_(2r-1) and c_(2R+1) as polynomials in y (rows 2j < P)
     corr_y = [
         beta[m] * sum(
@@ -276,11 +259,7 @@ def _direct_eval(s):
     ]
     last_y = [beta[m] * at_P[2 * R + 1 - m] for m in range(2 * R + 2)]
     # gamma_(2r-1) for r = 1..R+1 (rows 2j >= P)
-    gamma_odd = _convolve(
-        _binom_series(-s, one / 2, n_ord, one),
-        _binom_series(-s, one / 3, n_ord, one),
-        range(1, n_ord, 2),
-    )
+    gamma_odd = taylor(mpf(5) / 6, mpf(1) / 6)[1::2]
     corr_j = [bern_over[r] * gamma_odd[r - 1] for r in range(1, R + 1)]
     # tail integrals G2(K/j; s, s), each one 2F1 (see _g2): x = j/P on the
     # rows 2j < P, x = 1/2 on the rest
@@ -312,12 +291,13 @@ def _direct_eval(s):
     # corner j, k > P: the diagonal 2^(-s) zeta(3s, P+1) plus twice the
     # triangle P < j < k.  Row j of the triangle is Euler-Maclaurin from k = j
     # on f_j(j + u) = 2^(-s) j^(-2s) sum_q d_q (u/j)^q, d_q the coefficients of
-    # (1+u)^(-s) (1+u/2)^(-s) (radius j > P, as on the strips):
+    # (1+u)^(-s) (1+u/2)^(-s) = (1 + 3u/2 + u^2/2)^(-s) (radius j > P, as on
+    # the strips):
     #   sum_{k>j} f_j(k) = G2(1; s, s) j^(1-2s) - 2^(-s) j^(-2s) / 2
     #                      - 2^(-s) sum_r B_2r/(2r) d_(2r-1) j^(1-2s-2r),
     # so the sum over j > P is a list of Hurwitz zeta values zeta(x, P+1)
     # (DLMF 25.11), and the diagonal cancels the f_j(j)/2 terms.
-    d_odd = _convolve(beta, _binom_series(-s, one / 2, n_ord, one), range(1, n_ord, 2))
+    d_odd = taylor(mpf(3) / 2, mpf(1) / 2)[1::2]
     two_1ms = 2 * mp.exp(-s * mp.ln(2))  # 2^(1-s)
     coeffs = [2 * _g2(s, s, 1)] + [-two_1ms * bern_over[r] * d_odd[r - 1] for r in range(1, R + 1)]
     coeffs.append(two_1ms * bern_next * d_odd[R])  # the first omitted term
@@ -473,14 +453,6 @@ def _auto_M(re_s: float) -> int:
     return M
 
 
-def _strip_check(re_s: float, M: int) -> None:
-    if not (0.75 - M / 2 < re_s < M + 0.5):
-        raise ValueError(
-            f"continuation shift M = {M} does not satisfy "
-            f"3/4 - M/2 < Re(s) = {re_s} < M + 1/2"
-        )
-
-
 def _pole_weight(z, c, h):
     """Trapezoid error per unit residue of a simple pole at z off the line
     Re(z) = c, for step h and the integral (1/(2 pi i)) integral dz."""
@@ -508,9 +480,14 @@ def _mb_integral(s, M: int, digit_target: int):
     c = M - mpf(1) / 2
     re_s = float(mp.re(s))
     im_s = float(mp.im(s))
-    # zeta poles at Re(z) = Re(s) - 1 and 1 - 2 Re(s); Gamma poles stay >= 1/2 off
+    # zeta poles at Re(z) = Re(s) - 1 and 1 - 2 Re(s) (the strip); Gamma poles >= 1/2 off
     if min(M + 0.5 - re_s, M - 1.5 + 2 * re_s) <= 0.05:
-        raise ValueError("contour passes too close to a pole of the integrand; increase M")
+        raise ValueError(
+            f"continuation shift M = {M} does not satisfy "
+            f"3/4 - M/2 < Re(s) = {re_s} < M + 1/2 with 0.05 to spare: "
+            "the contour Re(z) = M - 1/2 must pass that far from the poles of "
+            "zeta(2s+z) and zeta(s-z); increase M"
+        )
     h = mpf(min(_QUAD_STEP, 2 * math.pi * _QUAD_HALF_WIDTH / (math.log(10) * (digit_target + 4))))
     # contour length: solve pi t = ln10 (Dq + 6) + growth * ln t for the
     # e^(-pi t) decay, then extend until the boundary values meet the target
@@ -557,7 +534,6 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
     re_s = float(mp.re(s0))
     if M is None:
         M = _auto_M(re_s)
-    _strip_check(re_s, M)
     digit_target = max(10, -(-prec // 3))
     # the finite part carries 24 digits past the quadrature's target, so its
     # rounding, (1 + big) 10^-(finite_dps - 12) below, stays >= 8 orders under

@@ -38,7 +38,7 @@ def _saddle_residual_max(order: int):
     cst = constants()
     with mp.workdps(prec + 15 + order):
         g = _saddle_series_raw(order, cst.X, cst.Y)
-        x = PowerSeries.identity(g.order, mpf(1))
+        x = PowerSeries.constant(mpf(1), g.order - 1).shift(1)
         F = _saddle_F(g, x, cst.X, cst.Y)
         worst = mpf(0)
         for k in range(F.valuation, F.order):

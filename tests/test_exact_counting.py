@@ -172,6 +172,15 @@ def test_log_r_float64_overflow_raises_without_numpy_warning():
             log_r_float64(234_313)
 
 
+def test_log_r_float64_refuses_beyond_float64_range_before_any_work(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the DP ran for a limit it must refuse")
+
+    monkeypatch.setattr(exact_counting, "_sweep", no_sweep)
+    with pytest.raises(OverflowError, match="float64 DP overflowed"):
+        log_r_float64(234_313)
+
+
 def test_log_r_float64_tracks_exact():
     # r(20000) has 339 bits, so a wrong carry into a high limb shows here
     for limit in (3000, 20000):

@@ -16,7 +16,7 @@ mp.dps = 60
 
 
 def mpf_identity(order):
-    return PowerSeries.identity(order, one=mpf(1))
+    return PowerSeries.constant(mpf(1), order - 1).shift(1)
 
 
 def test_constructor_semantics():

@@ -111,6 +111,13 @@ def test_trivial_zeros():
         trivial_zeros(0)
 
 
+def test_mb_refuses_a_contour_near_a_pole_inside_the_strip():
+    # 2.47 < M + 1/2 lies in the strip of M = 2, but the zeta(s - z) pole at
+    # z = s - 1 sits 0.03 from the contour Re(z) = 3/2
+    with pytest.raises(ValueError, match=r"^continuation shift M = 2 does not satisfy"):
+        omega_result(mpf("2.47"), method="mb", M=2)
+
+
 def test_pole_guard_refuses_poles():
     for bad in (mpf(2) / 3, mpf("0.5"), mpf("-2.5")):  # -2.5 = 1/2 - 3
         with pytest.raises(WittenZetaPoleError):
