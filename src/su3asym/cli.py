@@ -28,11 +28,11 @@ Subcommands
 
 All numerical output is produced at the current working precision (default
 60 significant digits; override with the per-command ``--prec`` flag).
-Argument parsing only checks that numbers parse; each command converts them
-to mpf/mpc after ``main`` has set the precision, so every digit given on the
-command line is kept.  Library errors
-(``ValueError``, ``OverflowError``, poles of omega and mpmath's
-``NoConvergence``) print ``error: ...`` and exit with 2.
+argparse keeps numbers as text; ``main`` converts every number after setting
+the precision, so every digit given on the command line is kept.  Malformed
+numbers and library errors (``ValueError``, ``OverflowError``, poles of omega
+and mpmath's ``NoConvergence``) print ``error: ...`` and exit with 2, as do
+argparse's own usage errors, such as two ``omega`` modes at once.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from mpmath import mp, mpc, mpf
 
-from .exact_counting import EXACT_LIMIT, r_exact, r_exact_via_exp
+from .exact_counting import EXACT_LIMIT, FLOAT64_LIMIT, r_exact, r_exact_via_exp
 from .harness import compare_table, log_G_direct, asymptotic_log_G
 from .precision import DEFAULT_DIGITS, MIN_DIGITS, set_working_digits, working_digits
 from .saddle_expansion import c_constants, constants
@@ -82,19 +83,6 @@ def _point(text: str):
             return re
         return mpc(re, im)
     raise ValueError(f"expected RE or RE,IM, got {text!r}")
-
-
-def _parses_as(convert):
-    """argparse type that checks ``convert`` accepts the text and keeps the text."""
-
-    def check(text: str) -> str:
-        try:
-            convert(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return text
-
-    return check
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -157,11 +145,7 @@ def _cmd_omega(args) -> int:
         residual = verify_zeta_identity(n)
         print(f"even-argument identity at n={n}: relative residual = {_nstr(residual, 6)}")
         return 0
-    if args.re is None:
-        print("error: provide --re (with optional --im), or a --verify-* flag", file=sys.stderr)
-        return 2
-    re, im = _real(args.re), _real(args.im)
-    s = mpc(re, im) if im != 0 else re
+    s = mpc(args.re, args.im) if args.im != 0 else args.re
     res = omega_result(s, method=args.method, M=args.M)
     payload = {
         "s": _complex_pair(res.s),
@@ -179,15 +163,7 @@ def _cmd_constants(args) -> int:
     order = args.order
     cs = c_constants(order)
     cst = constants()
-    named = [
-        ("X", cst.X),
-        ("Y", cst.Y),
-        ("A1", cst.A1),
-        ("A2", cst.A2),
-        ("A3", cst.A3),
-        ("A4", cst.A4),
-        ("A5", cst.A5),
-    ]
+    named = [(f.name, getattr(cst, f.name)) for f in fields(cst) if f.name != "C0"]
     named.extend((f"C{j}", cs[j]) for j in range(order + 1))
     if args.format == "csv":
         sys.stdout.write("name,value\n")
@@ -222,7 +198,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    z, eta = _point(args.z), _real(args.eta)
+    z, eta = args.z, args.eta
     direct = log_G_direct(z)
     asym = asymptotic_log_G(z, eta)
     res = abs(direct - asym)
@@ -269,8 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rn.set_defaults(func=_cmd_rn)
 
     p_om = sub.add_parser("omega", parents=[common], help="evaluate omega(s) or run its checks")
-    p_om.add_argument("--re", type=_parses_as(_real), default=None, help="Re(s)")
-    p_om.add_argument("--im", type=_parses_as(_real), default="0", help="Im(s) (default 0)")
+    mode = p_om.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--re", help="Re(s)")
+    p_om.add_argument("--im", default="0", help="Im(s) (default 0)")
     p_om.add_argument(
         "--method",
         choices=("auto", "direct", "mb"),
@@ -284,14 +261,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="contour shift of the continuation: it integrates on Re z = M - 1/2 and needs "
         "3/4 - M/2 < Re s < M + 1/2 (default: chosen from Re s)",
     )
-    p_om.add_argument(
+    mode.add_argument(
         "--verify-zeros",
         type=int,
         default=None,
         metavar="K",
         help="print omega(-1)..omega(-K), which must all vanish",
     )
-    p_om.add_argument(
+    mode.add_argument(
         "--verify-identity",
         type=int,
         default=None,
@@ -311,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_parse_int_list,
         required=True,
         help=f"comma-separated list of n values; counted exactly up to {EXACT_LIMIT}, "
-        "in float64 (15 digits) beyond, up to 234312",
+        f"in float64 (15 digits) beyond, up to {FLOAT64_LIMIT}",
     )
     p_cp.add_argument("--terms", type=int, default=2, metavar="L", help="largest C_j order (default 2)")
     p_cp.set_defaults(func=_cmd_compare)
@@ -319,10 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rs = sub.add_parser(
         "residual", parents=[common], help="direct vs asymptotic Log G(e^(-z)) at one z"
     )
-    p_rs.add_argument(
-        "--z", type=_parses_as(_point), required=True, help="evaluation point, RE or RE,IM (Re z > 0)"
-    )
-    p_rs.add_argument("--eta", type=_parses_as(_real), required=True, help="scaling exponent eta")
+    p_rs.add_argument("--z", required=True, help="evaluation point, RE or RE,IM (Re z > 0)")
+    p_rs.add_argument("--eta", required=True, help="scaling exponent eta")
     p_rs.set_defaults(func=_cmd_residual)
 
     return parser
@@ -333,6 +308,9 @@ def main(argv=None) -> int:
     try:
         if args.prec is not None:
             set_working_digits(args.prec)
+        for name, convert in {"re": _real, "im": _real, "z": _point, "eta": _real}.items():
+            if getattr(args, name, None) is not None:
+                setattr(args, name, convert(getattr(args, name)))
         return args.func(args)
     except (ValueError, OverflowError, WittenZetaPoleError, mp.NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)

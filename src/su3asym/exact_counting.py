@@ -41,6 +41,10 @@ from mpmath import mp, mpf
 # want the float64 route.
 EXACT_LIMIT = 50_000
 
+# log_r_float64 refuses ranges beyond this: r(234,313) is the first count
+# past float64's ~1.8e308.
+FLOAT64_LIMIT = 234_312
+
 # Bits per limb of the exact DP, a multiple of 8.  After a carry every limb
 # is below 2^48, so a sweep of up to 2^15 - 1 rows cannot pass 2^63.
 _LIMB_BITS = 48
@@ -232,15 +236,15 @@ def log_r_float64(limit: int):
     """log r(n) for n = 0..limit as a float64 numpy array (NaN-free).
 
     Runs the row sweeps of r_exact on one float64 plane.  Values overflow
-    float64 once r(n) > ~1e308 (first at n = 234,313); a limit past that
-    raises before any work, and the finiteness check after the sweeps guards
-    the ceiling, without numpy's own overflow warning.
+    float64 once r(n) > ~1e308 (first at n = 234,313); a limit past
+    FLOAT64_LIMIT raises before any work, and the finiteness check after the
+    sweeps guards the ceiling, without numpy's own overflow warning.
     """
     import numpy as np
 
     limit = _check_limit(limit)
     overflow = OverflowError(f"float64 DP overflowed before n = {limit}; r(n) exceeds ~1e308")
-    if limit > 234_312:
+    if limit > FLOAT64_LIMIT:
         raise overflow
     a = np.zeros(limit + 1)
     a[0] = 1

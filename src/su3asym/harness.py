@@ -30,7 +30,7 @@ Provided operations:
                           exponents of |R_L| across the sample points;
                           r(n) is counted exactly up to EXACT_LIMIT = 50000
                           and in float64 beyond, which overflows (raising
-                          OverflowError) beyond n = 234,312.
+                          OverflowError) beyond FLOAT64_LIMIT = 234312.
 """
 
 from __future__ import annotations
@@ -263,8 +263,8 @@ def compare_table(n_list, L_max: int) -> ComparisonTable:
     least-squares slope of log|R_L| against log n over the sample points is
     fitted (None with fewer than three points).  The count is exact for
     n <= EXACT_LIMIT and float64 beyond (the row's ``source`` says which);
-    an n beyond 234,312, where r(n) exceeds float64's range, raises
-    OverflowError.
+    an n beyond FLOAT64_LIMIT = 234312, where r(n) exceeds float64's range,
+    raises OverflowError.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:

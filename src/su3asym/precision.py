@@ -8,7 +8,9 @@ CLI ``--prec`` flag) changes it.
 A floor of 30 digits is enforced: the algorithms in this package
 (Euler-Maclaurin depths, contour steps, series guard digits) choose their
 internal truncation parameters from the digit count and are not tuned below
-that.
+that.  :func:`set_working_digits` refuses a lower count, and
+:func:`working_digits`, which the numerical routines read to pick their
+parameters, raises ``ValueError`` when ``mp.dps`` was set below it directly.
 
 The precision is mpmath's, and mpmath's precision is process-global: the
 package runs one computation per process at a time, and its caches (keyed by
@@ -31,7 +33,9 @@ def set_working_digits(digits: int) -> None:
 
 
 def working_digits() -> int:
-    """Current global working precision in decimal digits."""
+    """Current global working precision in decimal digits; raises below the floor."""
+    if mp.dps < MIN_DIGITS:
+        raise ValueError(f"working precision must be >= {MIN_DIGITS} digits, got {mp.dps}")
     return mp.dps
 
 

@@ -296,11 +296,6 @@ def laurent_main(order: int) -> PowerSeries:
 # -- polynomial ladders ------------------------------------------------------------
 
 
-def _as_xpoly(c) -> XPolynomial:
-    """Coefficients of degenerate series may collapse to scalars; normalize."""
-    return c if isinstance(c, XPolynomial) else XPolynomial([c])
-
-
 def expansion_polys(M: int) -> LadderPolys:
     """The polynomial ladders P[1..4] up to index M (cached per precision).
 
@@ -348,7 +343,7 @@ def expansion_polys(M: int) -> LadderPolys:
         bounds = ((ladder1, "p1", 1), (ladder2, "p2", 4), (ladder3, "p3", 1))
         for series, name, slope in bounds:
             for k in range(1, order):
-                eff = _poly_dust_degree(_as_xpoly(series.coeff(k)), prec)
+                eff = _poly_dust_degree(series.coeff(k), prec)
                 if 2 * eff > slope * k:
                     raise RuntimeError(
                         f"{name}[{k}] has degree {eff}, above the bound "
@@ -356,10 +351,10 @@ def expansion_polys(M: int) -> LadderPolys:
                     )
         out = LadderPolys(
             M=M,
-            p1=tuple(_as_xpoly(ladder1.coeff(k)) for k in range(order)),
-            p2=tuple(_as_xpoly(ladder2.coeff(k)) for k in range(order)),
-            p3=tuple(_as_xpoly(ladder3.coeff(k)) for k in range(order)),
-            p4=tuple(_as_xpoly(ladder4.coeff(k)) for k in range(order)),
+            p1=ladder1.coeffs,
+            p2=ladder2.coeffs,
+            p3=ladder3.coeffs,
+            p4=ladder4.coeffs,
         )
     _LADDER_CACHE[key] = out
     return out

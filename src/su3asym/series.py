@@ -105,8 +105,6 @@ class PowerSeries:
         order = min(a.valuation + b.order, b.valuation + a.order)
         val = a.valuation + b.valuation
         n = order - val
-        if n <= 0:
-            return PowerSeries([], val, order)
         out = [0] * n
         for i, ca in enumerate(a.coeffs):
             if ca == 0:

@@ -444,13 +444,11 @@ def _zeta_line(a0, h, K):
 
 
 def _auto_M(re_s: float) -> int:
-    """Contour shift: the strip bound plus two for headroom, nudged further
-    until the contour Re(z) = M - 1/2 keeps distance >= 0.3 from the poles of
-    zeta(s-z) (at z = s-1) and zeta(2s+z) (at z = 1-2s)."""
-    M = max(2, math.ceil(2 * (0.75 - re_s)) + 2, math.floor(re_s) + 1)
-    while min(M + 0.5 - re_s, M - 1.5 + 2 * re_s) < 0.3:
-        M += 1
-    return M
+    """Contour shift: the strip bound plus two for headroom.  The contour
+    Re(z) = M - 1/2 then passes the pole of zeta(s-z) (at z = s-1) by
+    M + 1/2 - Re s > 1/2, as M > Re s, and the pole of zeta(2s+z) (at
+    z = 1-2s) by M - 3/2 + 2 Re s >= 2, as M >= 3/2 - 2 Re s + 2."""
+    return max(2, math.ceil(2 * (0.75 - re_s)) + 2, math.floor(re_s) + 1)
 
 
 def _pole_weight(z, c, h):
@@ -547,11 +545,12 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
         s_ev = s0 + eps if eps else s0  # the input's bits, even below its precision
         # each term takes on its poles' weights; only z = k >= M lie right of c
         c = M - mpf(1) / 2
+        gamma_s = gamma_complex(s_ev)
         first = (
             gamma_complex(2 * s_ev - 1)
             * gamma_complex(1 - s_ev)
             * zeta_complex(3 * s_ev - 1)
-            / gamma_complex(s_ev)
+            / gamma_s
         ) * (1 - _pole_weight(1 - 2 * s_ev, c, h) + _pole_weight(s_ev - 1, c, h))
         finite_sum = mpf(0)
         coeff = mpf(1)  # (-1)^k (s)_k / k!
@@ -559,7 +558,6 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
             term = coeff * zeta_complex(2 * s_ev + k) * zeta_complex(s_ev - k)
             finite_sum += term * ((k < M) + _pole_weight(k, c, h) - _pole_weight(-s_ev - k, c, h))
             coeff = coeff * (s_ev + k) / (-(k + 1))
-        gamma_s = gamma_complex(s_ev)
         value = first + finite_sum + trapezoid / gamma_s
         # pre-cancellation magnitudes bound the rounding loss
         big = abs(first) + abs(finite_sum) + abs(trapezoid / gamma_s)

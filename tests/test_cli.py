@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
+import pytest
 from mpmath import mp, mpc, mpf
 
 from su3asym import cli
 from su3asym.cli import main
 from su3asym.exact_counting import EXACT_LIMIT
-from su3asym.harness import compare_table
+from su3asym.harness import asymptotic_log_G, compare_table, log_G_direct
 from su3asym.witten_zeta import omega_result
 
 
@@ -87,6 +90,24 @@ def test_omega_no_convergence_is_an_error(capsys, monkeypatch):
     assert err.startswith("error: hypergeometric series did not converge")
 
 
+def test_omega_modes_are_exclusive(capsys):
+    # two modes, or none, end in argparse's usage error and status 2
+    for argv in (["--re", "0.8", "--verify-zeros", "2"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["omega", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "su3asym omega: error: " in captured.err
+
+
+def test_omega_numbers_are_checked_in_every_mode(capsys):
+    rc, out, err = run(capsys, "omega", "--verify-zeros", "2", "--im", "abc")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: not a real number: 'abc'\n"
+
+
 def test_omega_verify_zeros(capsys):
     rc, out, _ = run(capsys, "omega", "--verify-zeros", "1")
     assert rc == 0
@@ -139,6 +160,18 @@ def test_constants_json(capsys):
     assert set(payload) == {"X", "Y", "A1", "A2", "A3", "A4", "A5", "C0", "C1"}
     assert payload["C0"].startswith("2.44629")
     assert payload["X"].startswith("1.17117")
+
+
+def test_constants_csv_matches_json(capsys):
+    rc, out, _ = run(capsys, "constants", "--order", "2", "--format", "csv")
+    assert rc == 0
+    header, *lines = out.strip().splitlines()
+    assert header == "name,value"
+    csv_pairs = [tuple(line.split(",")) for line in lines]
+    rc, out, _ = run(capsys, "constants", "--order", "2")
+    assert rc == 0
+    assert csv_pairs == list(json.loads(out).items())
+    assert [name for name, _ in csv_pairs] == ["X", "Y", "A1", "A2", "A3", "A4", "A5", "C0", "C1", "C2"]
 
 
 def test_constants_order_beyond_cap_gives_no_precision_advice(capsys):
@@ -195,6 +228,16 @@ def test_residual_json(capsys):
     assert mpf(payload["residual_over_abs_z_eta"]) > 0
 
 
+def test_residual_at_a_complex_point(capsys):
+    rc, out, _ = run(capsys, "residual", "--z", "0.05,0.02", "--eta", "2.25")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["z"] == ["0.05", "0.02"]
+    z = mpc("0.05", "0.02")
+    want = abs(log_G_direct(z) - asymptotic_log_G(z, mpf("2.25")))
+    assert payload["residual"] == mp.nstr(want, 12)
+
+
 def test_residual_bad_z(capsys):
     rc, _, err = run(capsys, "residual", "--z", "-0.1", "--eta", "1.25")
     assert rc == 2
@@ -234,3 +277,22 @@ def test_compare_formats_each_row_by_its_count_source(capsys):
             else:
                 assert digits > 40, (name, printed[name])
                 assert printed[name] == mp.nstr(getattr(row, name), mp.dps)
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in section.splitlines()
+        if line.startswith("su3asym ")
+    ]
+    assert lines, "README § Command line lists no su3asym lines"
+    return lines
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    assert out.strip()

@@ -125,6 +125,7 @@ def test_ladder_shapes_and_units():
     assert lad.M == 4
     for seq in (lad.p1, lad.p2, lad.p3, lad.p4):
         assert len(seq) == 5
+        assert all(isinstance(p, XPolynomial) for p in seq)
         unit = seq[0]
         assert abs(unit.coeff(0) - 1) < TOL
         assert unit.effective_degree(mpf("1e-45")) == 0

@@ -47,6 +47,12 @@ def test_mul_valuation_and_order_tracking():
     assert prod.order <= min(a.order + b.valuation, b.order + a.valuation)
 
 
+def test_mul_by_empty_series_is_empty():
+    # a factor with no known coefficient leaves nothing known in the product
+    prod = PowerSeries([], 3, 3) * PowerSeries([1, 2])
+    assert (prod.coeffs, prod.valuation, prod.order) == ((), 3, 3)
+
+
 def test_exp_coefficients_are_inverse_factorials():
     e = mpf_identity(12).exp()
     for k in range(12):

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
 from su3asym.special_functions import gamma_complex, zeta_complex
@@ -20,6 +21,7 @@ from su3asym.witten_zeta import (
 from su3asym import witten_zeta
 from su3asym.witten_zeta import (
     _EM_DEPTH,
+    _auto_M,
     _g2,
     _gamma_line,
     _pole_weight,
@@ -116,6 +118,16 @@ def test_mb_refuses_a_contour_near_a_pole_inside_the_strip():
     # z = s - 1 sits 0.03 from the contour Re(z) = 3/2
     with pytest.raises(ValueError, match=r"^continuation shift M = 2 does not satisfy"):
         omega_result(mpf("2.47"), method="mb", M=2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(min_value=-40, max_value=40))
+def test_auto_shift_keeps_the_contour_half_a_unit_from_both_zeta_poles(re_s):
+    # Re(z) = M - 1/2 against the zeta(s - z) pole at Re(z) = Re(s) - 1 and
+    # the zeta(2s + z) pole at Re(z) = 1 - 2 Re(s)
+    M = _auto_M(re_s)
+    assert M + 0.5 - re_s >= 0.5
+    assert M - 1.5 + 2 * re_s >= 0.5
 
 
 def test_pole_guard_refuses_poles():
