@@ -17,7 +17,8 @@ Everything here but the float64 fallback is exact integer arithmetic:
 * :func:`su3_parts` enumerates (d, mult(d)) up to a limit,
 * :func:`r_exact` runs the Euler-product DP ``_euler_product`` on them in
   exact integers, held as uint64 limb planes of 48-bit digits, one sweep
-  per factor with deferred carries (with a guard cap on the range),
+  per factor, largest parts first after d = 1, with deferred carries (with
+  a guard cap on the range),
 * :func:`r_exact_via_exp` recomputes r(n) through exp(log G) by the
   integer recurrence n r(n) = sum_k sigma(k) r(n-k) — an algorithmically
   independent route used by the CLI ``--oracle-check`` and the tests,
@@ -36,8 +37,8 @@ import operator
 from mpmath import mp, mpf
 
 # r_exact and p_exact refuse ranges beyond this.  At the cap the limb-plane
-# DP takes about 2-2.5 s and 12 planes of 50,001 uint64 limbs (4.8 MB;
-# r(50000) has 515 bits), five times its time at 20,000; beyond it callers
+# DP takes about 0.5-0.75 s and 12 planes of 50,001 uint64 limbs (4.8 MB;
+# r(50000) has 515 bits), four times its time at 20,000; beyond it callers
 # want the float64 route.
 EXACT_LIMIT = 50_000
 
@@ -83,14 +84,26 @@ def _sweep(v, d: int) -> None:
     That is the sweep v[..., i] += v[..., i-d].  With v[..., :rows*d] viewed
     as a (rows, d) grid, it is grid[i] += grid[i-1] row by row, then the last
     row added into the tail of length len mod d: the same additions in the
-    same order, d cells of every plane per numpy call.  In float64 it rounds
-    exactly as the cell-by-cell sweep would.
+    same order.  A grid with more rows than columns is one running sum down
+    its columns per plane, in a single numpy call; otherwise each numpy call
+    adds one row of d cells of every plane.  Both add strictly in row order,
+    so in float64 the sweep rounds exactly as the cell-by-cell one would.
+    v must be C-contiguous: the planes are walked as views and updated in
+    place.
     """
     rows, tail = divmod(v.shape[-1], d)
-    grid = v[..., : rows * d].reshape(*v.shape[:-1], rows, d).swapaxes(0, -2)
-    for i in range(1, rows):
-        grid[i] += grid[i - 1]
-    v[..., rows * d :] += grid[-1][..., :tail]
+    if rows > d:
+        # One plane at a time: a running sum over the whole stack would copy it
+        for plane in v.reshape(-1, v.shape[-1]):
+            grid = plane[: rows * d].reshape(rows, d)
+            grid.cumsum(axis=0, out=grid)
+    else:
+        # Few rows of many columns: cumsum would run one inner loop per column
+        grid = v[..., : rows * d].reshape(*v.shape[:-1], rows, d).swapaxes(0, -2)
+        for i in range(1, rows):
+            grid[i] += grid[i - 1]
+    last = (rows - 1) * d
+    v[..., rows * d :] += v[..., last : last + tail]
 
 
 def _planes_needed(parts, limit: int) -> int:
@@ -143,16 +156,20 @@ def _euler_product(parts, limit: int) -> list[int]:
     above leaves room for the carries a ripple adds).  A sweep too long to
     fit even right after a carry raises OverflowError; with 48-bit limbs up
     to EXACT_LIMIT only d = 1 is that long, and it comes first, before any
-    carry.  Only the planes in use are swept, so the early sweeps,
-    which have the most rows, run on one or two planes, and with one plane
-    each row is one 1-D numpy addition.
+    carry.  The other factors then run from the largest d down (``parts``
+    come ascending in d); the exact product does not depend on the order.
+    Only the planes in use are swept, so the thousands of long-d sweeps run
+    while the counts are still short: at limit 20,000 on 1.2 of 8 planes on
+    average (at most 4).  Run first, the short-d sweeps would fill nearly all
+    8 before them.  They come last instead, a few dozen running sums per
+    plane.
     """
     import numpy as np  # here, so that importing the CLI does not load numpy
 
     planes = np.zeros((_planes_needed(parts, limit), limit + 1), dtype=np.uint64)
     planes[0, 0] = 1
     used, bound = 1, 1  # planes that may hold nonzero limbs; a bound on every limb
-    for d, mult in parts:
+    for d, mult in parts[:1] + parts[:0:-1]:
         growth = (limit + 1) // d + 1
         for _ in range(mult):
             if bound * growth >= 2**63:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +239,27 @@ def test_residual_at_a_complex_point(capsys):
     z = mpc("0.05", "0.02")
     want = abs(log_G_direct(z) - asymptotic_log_G(z, mpf("2.25")))
     assert payload["residual"] == mp.nstr(want, 12)
+
+
+def test_residual_checks_eta_before_the_direct_sum(capsys, monkeypatch):
+    def no_direct_sum(z):
+        raise AssertionError("log_G_direct ran for an eta the expansion refuses")
+
+    monkeypatch.setattr(cli, "log_G_direct", no_direct_sum)
+    rc, out, err = run(capsys, "residual", "--z", "0.05", "--eta", "1.5")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: eta = 1.5 is a half-integer")
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    # Every command pays for what the CLI module imports; numpy loads only
+    # when a count is computed
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import su3asym.cli, sys; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_residual_bad_z(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -91,9 +92,11 @@ def test_r_exact_with_8_bit_limbs_matches_per_cell_sweep(limit):
 
 
 def test_exact_counts_with_56_bit_limbs_refuse_long_sweeps(monkeypatch):
-    # After a carry a 56-bit limb has room for a sweep of at most 126 rows, and
-    # the sweeps of r(2000) that need a carry are longer: the DP must refuse
-    # them rather than risk a limb passing 2^63
+    # After a carry a 56-bit limb has room for a sweep of at most 126 rows.
+    # Largest parts first, r(2000) starts carrying among the sweeps of large
+    # d, which are short enough; soon every sweep needs a carry, and the
+    # first longer one (d = 15, 133 rows) must be refused rather than risk a
+    # limb passing 2^63
     monkeypatch.setattr(exact_counting, "_LIMB_BITS", 56)
     with pytest.raises(OverflowError, match="56-bit limbs"):
         r_exact(2000)
@@ -101,11 +104,57 @@ def test_exact_counts_with_56_bit_limbs_refuse_long_sweeps(monkeypatch):
 
 def test_r_exact_raises_when_a_carry_would_leave_the_top_plane(monkeypatch):
     # r(5000) has 177 bits: three 48-bit planes, one fewer than it needs,
-    # cannot hold it
+    # cannot hold it, and a carry during the short-d sweeps finds the top
+    # plane full
     assert r_exact(5000)[-1].bit_length() > exact_counting._LIMB_BITS * 3
     monkeypatch.setattr(exact_counting, "_planes_needed", lambda parts, limit: 3)
     with pytest.raises(OverflowError):
         r_exact(5000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=600))
+def test_euler_product_does_not_depend_on_the_order_of_parts(limit):
+    # 8-bit limbs carry every few sweeps, so the reversed list, which puts
+    # the largest part first and d = 1 second, carries at other points
+    parts = su3_parts(limit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_counting, "_LIMB_BITS", 8)
+        reversed_order = _euler_product(parts[::-1], limit)
+        given_order = _euler_product(parts, limit)
+    assert reversed_order == given_order == per_cell_counts(parts, limit)
+
+
+def test_r_exact_at_the_cap_is_pinned():
+    # sha256 of repr(r_exact(50000)) as the smallest-first, row-by-row DP
+    # computed it before the sweep order and the per-plane running sums
+    assert EXACT_LIMIT == 50_000
+    digest = hashlib.sha256(repr(r_exact(EXACT_LIMIT)).encode()).hexdigest()
+    assert digest == "4dfa5982575017517f2a928399c4e523d9223b1fe5a490771de9e3d4d44d9815"
+
+
+@pytest.mark.parametrize("d", [7, 100], ids=["more-rows-than-d", "at-most-d-rows"])
+def test_sweep_float64_row_in_place_matches_per_cell(d):
+    # limit 2000 has 2001 cells: 285 rows of 7, or 20 rows of 100; both tails
+    # are nonempty.  r(2000) is far beyond 2^53, so every rounding shows
+    limit, parts = 2000, su3_parts(2000)
+    row = np.array(per_cell_counts(parts, limit, one=1.0))
+    _sweep(row, d)
+    assert row.tolist() == per_cell_counts(parts + [(d, 1)], limit, one=1.0)
+
+
+@pytest.mark.parametrize("d", [3, 30], ids=["more-rows-than-d", "at-most-d-rows"])
+def test_sweep_uint64_planes_in_place_match_per_cell(d):
+    # limit 400 has 401 cells: 133 rows of 3, or 13 rows of 30
+    limit = 400
+    starts = [[(1, 1)], [(2, 1), (5, 2)]]
+    planes = np.zeros((3, limit + 1), dtype=np.uint64)
+    for k, parts in enumerate(starts):
+        planes[k] = per_cell_counts(parts, limit)
+    _sweep(planes[:2], d)
+    for k, parts in enumerate(starts):
+        assert planes[k].tolist() == per_cell_counts(parts + [(d, 1)], limit)
+    assert not planes[2].any()
 
 
 def test_exact_counts_are_python_ints():
