@@ -24,7 +24,8 @@ Two independent evaluation routes are provided and cross-checked:
                - 2^(1-s) sum_{r=1}^{R} (B_2r/(2r)) d_(2r-1) zeta(3s+2r-1, P+1),
 
   d_q the Taylor coefficients of (1+u)^(-s) (1+u/2)^(-s); the double series
-  is the SU(3) Witten zeta of Romik (Acta Arith. 2017).  Valid for
+  is the SU(3) Witten zeta of Romik (Acta Arith. 2017).  The R + 2 Hurwitz
+  values are one row of the package's zeta kernel (below).  Valid for
   Re(s) >= 1.1.
 
 * the Mellin-Barnes continuation (``method="mb"``)
@@ -56,7 +57,18 @@ Two independent evaluation routes are provided and cross-checked:
 
   The nodes below the real axis are those above it at conj s, reflected:
   f(c - i k h; s) = conj f(c + i k h; conj s) (Schwarz), so a real s needs
-  one half-line.  No line of Gamma or zeta values is cached.
+  one half-line.  No line of Gamma or zeta values is cached.  The finite
+  part's zeta(2s+k) and zeta(s-k) are two rows of the zeta kernel, the
+  second stepping left from s itself; only the first term's zeta(3s-1) is
+  mpmath's.
+
+Every other zeta value that omega sums comes from one fixed-point
+Euler-Maclaurin kernel, ``_zeta_line``.  It walks a straight path a0 + k d
+(vertical contour lines, d = i h; finite-part rows, d = +-1; the corner row,
+d = 2) from a start index a of its partial sum (zeta(x, a), DLMF 25.11), with
+power tables built from one exp(-x ln p) per prime.  Its depth follows
+Johansson's remainder bound (Numer. Algorithms 2015), which treats Hurwitz
+zeta alike.
 
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
@@ -72,10 +84,15 @@ not the working precision, says what a value carries.  The continuation's
 quadrature targets an absolute error of 10^-(D+4), D = max(10, ceil(dps/3)),
 at D + 14 digits; its finite part runs at D + 24 digits plus a bump near the
 integers and 2 log10(|s| + 2) guard digits, so that its rounding stays at
-least 8 orders below the quadrature's.  The direct route runs at
+least 8 orders below the quadrature's, and its two zeta rows 2 digits above
+that, so that the kernel's target 10^-(digits - 10) stays under the finite
+part's rounding allowance.  Near an integer the arguments 2s - 1 and 1 - s of
+Gamma are formed exactly.  The direct route runs at
 max(30, dps/2 + 18) + 10 + 2 log10(|s| + 2) digits; each row of its block
 and edge strips, and each row's Euler-Maclaurin correction polynomial, is one
-exact dot product (mpmath's fdot), rounded once.
+exact dot product (mpmath's fdot), rounded once; its corner row runs 10
+digits above the working precision raised by its coefficients' size, which
+keeps the kernel's target, so weighted, far below the rounding allowance.
 """
 
 from __future__ import annotations
@@ -301,49 +318,134 @@ def _direct_eval(s):
     two_1ms = 2 * mp.exp(-s * mp.ln(2))  # 2^(1-s)
     coeffs = [2 * _g2(s, s, 1)] + [-two_1ms * bern_over[r] * d_odd[r - 1] for r in range(1, R + 1)]
     coeffs.append(two_1ms * bern_next * d_odd[R])  # the first omitted term
-    # mpmath's zeta(x, a) is accurate to 2^-prec in absolute terms only, and
-    # zeta(3s+2r-1, P+1) is tiny: raise its precision by the coefficients' size
+    # the kernel's target 10^-(digits - 10) is absolute, and zeta(3s+2r-1,
+    # P+1) is tiny: one row with step 2 from n = P+1, at 10 digits above the
+    # working precision raised by the coefficients' size
     guard = 5 + max(0, int(mp.log10(max(abs(c) for c in coeffs))))
-    with mp.workdps(mp.dps + guard):
-        hurwitz = [mp.zeta(3 * s + 2 * r - 1, P + 1) for r in range(R + 2)]
+    with mp.workdps(mp.dps + guard + 10):
+        hurwitz = _zeta_line(3 * s - 1, 2, R + 1, P + 1)
     acc += mp.fdot(coeffs[:-1], hurwitz)
     est += abs(coeffs[-1] * hurwitz[-1])
     est += tol * (P + 4)
     return acc, est
 
-# -- grid evaluators along vertical lines ----------------------------------------
+# -- the zeta kernel along straight paths ------------------------------------------
 #
-# The trapezoid quadrature needs Gamma and zeta at hundreds of points
-# a0 + i k h along fixed vertical lines.  Gamma is mpmath's, node by node.
-# zeta is the package's own Euler-Maclaurin kernel, one path for every line
-# at any Re(a0), restructured in two ways that make a thousand-node contour
+# omega needs zeta at many points of a few straight paths a0 + k d: the
+# trapezoid quadrature at hundreds of nodes of vertical lines (d = i h), the
+# finite part at 2s + k and s - k (rows, d = +1 and -1) and the direct route's
+# corner at the Hurwitz values zeta(3s + 2r - 1, P + 1) (a row with d = 2 whose
+# partial sum starts at n = P + 1).  Gamma is mpmath's, node by node.  zeta is
+# the package's own Euler-Maclaurin kernel, one path for every line and row at
+# any Re(a0), restructured in three ways that make a thousand-node contour
 # affordable at 30+ digits:
 #
-# * the n^(-i k h) phase factors of the partial sum advance multiplicatively
-#   from node to node instead of being re-exponentiated;
+# * the tables n^(-a0) and n^(-d) are built by complete multiplicativity: one
+#   exp(-x ln p) per prime p <= N, one fixed-point product per composite;
+# * the n^(-k d) factors of the partial sum advance multiplicatively from node
+#   to node instead of being re-exponentiated;
 # * the per-node work -- the power table and its partial sum and the
 #   Euler-Maclaurin corrections -- runs in fixed point: x + iy is the pair of
-#   Python integers (x 2^W, y 2^W), truncated, with W = wp + _FIX_GUARD.
-#   Products are integer multiply-and-shift.
+#   Python integers (x 2^W, y 2^W), with W = wp + _FIX_GUARD.  Products are
+#   integer multiply-and-shift.
 #
 # Fixed-point values carry an absolute error of a few units of 2^-W per
 # operation; the guard bits absorb the drift of 255 stepped nodes between
 # two resynchronisations of the power table.  Left of Re(a0) = 1 the partial
 # sum reaches N^(1 - Re a0) and cancels down to zeta, so wp is the working
 # precision plus ceil((1 - Re a0) log2 N) guard bits there, and the working
-# precision elsewhere.
+# precision elsewhere.  Within 1 of the pole the term N/(x - 1) is formed in
+# floating point from x - 1 = a0 + (k d - 1), which keeps a node such as
+# 2s + 1 at s = 10^-32 exact to its relative precision, where the pole would
+# amplify a fixed-point node's absolute rounding.
 
 _FIX_GUARD = 20
 
 
 def _fix(x, W):
-    """The fixed-point pair (Re x 2^W, Im x 2^W) of an mpf or mpc."""
-    return int(mp.ldexp(mp.re(x), W)), int(mp.ldexp(mp.im(x), W))
+    """The fixed-point pair (Re x 2^W, Im x 2^W) of an mpf or mpc, each part
+    rounded to the nearest integer, exactly at any working precision."""
+
+    def nearest(v):
+        t = int(mp.ldexp(v, W + 1))  # 2 v 2^W truncated toward zero, exactly
+        return (t + 1) >> 1 if t >= 0 else -((1 - t) >> 1)
+
+    return nearest(mp.re(x)), nearest(mp.im(x))
 
 
 def _unfix(re, im, W):
     """The mpc re 2^-W + i im 2^-W at the working precision."""
     return mpc(mp.ldexp(re, -W), mp.ldexp(im, -W))
+
+
+def _power_tables(xs, N, W):
+    """For each x of xs the fixed-point table [n^(-x) for n = 1..N] as two
+    lists (real parts, imaginary parts), entry n - 1 for n, by complete
+    multiplicativity: n^(-x) = exp(-x ln n) at a prime n, evaluated to
+    relative 2^-(W+8) and rounded, and p^(-x) (n/p)^(-x), rounded, at a
+    composite n with least prime factor p.  Each rounding moves an entry by
+    at most 2^-1/2 units of 2^-W, and a product adds its factors' errors
+    (relative to max(1, |n^(-x)|), since |p^(-x)| is <= 1 for every p or
+    >= 1 for every p), so an entry is within sqrt(2) Omega(n) units of
+    2^-W max(1, |n^(-x)|) of n^(-x), Omega(n) the number of prime factors of
+    n with multiplicity."""
+    spf = list(range(N + 1))  # least prime factor
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            for m in range(p * p, N + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    # the exponent -x ln n carries |x| ln N in front of its rounding
+    cond = int(max(abs(x) for x in xs) * math.log(N)) + 1
+    half = 1 << (W - 1)
+    tables = [([1 << W], [0]) for _ in xs]
+    with mp.workprec(W + 8 + cond.bit_length()):
+        for n in range(2, N + 1):
+            p = spf[n]
+            if p == n:
+                ln_n = mp.ln(n)
+                for (re, im), x in zip(tables, xs):
+                    r, i = _fix(mp.exp(-x * ln_n), W)
+                    re.append(r)
+                    im.append(i)
+            else:
+                for re, im in tables:
+                    a, b, c, e = re[p - 1], im[p - 1], re[n // p - 1], im[n // p - 1]
+                    re.append((a * c - b * e + half) >> W)
+                    im.append((a * e + b * c + half) >> W)
+    return tables
+
+
+def _em_plan(a0, d, K, a=1):
+    """Cutoff N, Euler-Maclaurin depth D and least real part sigma of the
+    path a0 + k d, k = 0..K, starting the partial sum at n = a.
+
+    N = max(10, a, 1.35 dps + 12 + 0.32 |Im|), and D the smallest from
+    max(_EM_DEPTH, floor((1 - sigma)/2) + 1) on (so that sigma + 2D - 1 > 0)
+    whose remainder bound (Johansson 2015)
+    4 |(s)_2D| (2 pi N)^(-2D) N^(1-sigma) / (sigma + 2D - 1), at the path's
+    largest |s| and least Re s, is at most 10^-(dps - 10).  Once D reaches N
+    the cutoff grows by a quarter instead, so the bound is always met.  Up to
+    about 60 digits D = _EM_DEPTH on lines right of Re(a0) = -1; the bound's
+    N^(1-sigma) raises it further left."""
+    end = a0 + K * d
+    sigma = float(min(mp.re(a0), mp.re(end)))
+    t_extreme = float(max(abs(mp.im(a0)), abs(mp.im(end))))
+    s_abs = float(max(abs(a0), abs(end)))  # |(s)_2D| <= prod_{i<2D} (|s| + i)
+    N = max(10, a, int(1.35 * mp.dps) + 12 + int(0.32 * t_extreme))
+    depth = max(_EM_DEPTH, math.floor((1 - sigma) / 2) + 1)
+    target = -(mp.dps - 10) * math.log(10)
+    log_poch = math.fsum(math.log(s_abs + i) for i in range(2 * depth))
+    while (
+        math.log(4) + log_poch - 2 * depth * math.log(2 * math.pi * N)
+        + (1 - sigma) * math.log(N) - math.log(sigma + 2 * depth - 1)
+    ) > target:
+        if depth < N:
+            log_poch += math.log(s_abs + 2 * depth) + math.log(s_abs + 2 * depth + 1)
+            depth += 1
+        else:
+            N += N // 4
+    return N, depth, sigma
 
 
 def _gamma_line(a0, h, K):
@@ -352,54 +454,32 @@ def _gamma_line(a0, h, K):
     return [mp.gamma(a0 + k * step) for k in range(K + 1)]
 
 
-def _zeta_line(a0, h, K):
-    """[zeta(a0 + i k h) for k = 0..K] by Euler-Maclaurin with a stepped power
-    table, at any Re(a0):
+def _zeta_line(a0, d, K, a=1):
+    """[zeta(a0 + k d, a) for k = 0..K], zeta(x, a) = sum_{n>=a} n^(-x) the
+    Hurwitz zeta function at a positive integer a (DLMF 25.11; a = 1 is
+    Riemann's), by Euler-Maclaurin with stepped power tables, at any Re(a0):
 
-    zeta(s) = sum_{n<N} n^(-s)
-              + N^(-s) (N/(s-1) + 1/2 + sum_{r=1}^{D} B_2r/(2r)! R_r(s)),
-    R_r(s) = (s)_(2r-1) / N^(2r-1), all in fixed point.  R_(r+1) is R_r times
-    (s+2r-1)(s+2r)/N^2, which keeps it of moderate size where (s)_(2r-1)
-    and B_2r/(2r)! alone would leave the fixed-point range.  The depth D is
-    the smallest from max(_EM_DEPTH, floor((1 - sigma)/2) + 1) on (so that
-    sigma + 2D - 1 > 0) whose remainder bound (Johansson 2015)
-    4 |(s)_2D| (2 pi N)^(-2D) N^(1-sigma) / (sigma + 2D - 1), at the line's
-    largest |s|, is at most 10^-(dps - 10); up to about 60 digits D = _EM_DEPTH
-    on lines right of Re(a0) = -1, and the bound's N^(1-sigma) raises it
-    further left.  For sigma < 1 the terms reach N^(1-sigma), so the kernel
+    zeta(x, a) = sum_{a<=n<N} n^(-x)
+                 + N^(-x) (N/(x-1) + 1/2 + sum_{r=1}^{D} B_2r/(2r)! R_r(x)),
+
+    R_r(x) = (x)_(2r-1) / N^(2r-1), all in fixed point but N/(x-1).  R_(r+1)
+    is R_r times (x+2r-1)(x+2r)/N^2, which keeps it of moderate size where
+    (x)_(2r-1) and B_2r/(2r)! alone would leave the fixed-point range.  N and
+    D come from _em_plan, which makes the remainder at most 10^-(dps - 10) at
+    every node.  For sigma < 1 the terms reach N^(1-sigma), so the kernel
     works with ceil((1 - sigma) log2 N) bits over the working precision.  The
-    table n^(-s) for n <= N is advanced by n^(-ih) per node and recomputed
-    from scratch every 256 nodes.
+    tables n^(-a0) and n^(-d) for n <= N come from _power_tables; the first is
+    advanced by the second per node and recomputed from scratch every 256
+    nodes.  A path on the real axis gives mpf values, any other mpc.
     """
-    a0 = _to_mp(a0)
-    h = mpf(h)
-    im0 = float(mp.im(a0))
-    t_extreme = max(abs(im0), abs(im0 + K * float(h)))
-    N = max(10, int(1.35 * mp.dps) + 12 + int(0.32 * t_extreme))
-    sigma = float(mp.re(a0))
-    s_abs = math.hypot(sigma, t_extreme)  # |(s)_2D| <= prod_{i<2D} (|s| + i)
-    depth = max(_EM_DEPTH, math.floor((1 - sigma) / 2) + 1)
-    while depth < N and (
-        math.log(4) + sum(math.log(s_abs + i) for i in range(2 * depth))
-        - 2 * depth * math.log(2 * math.pi * N) + (1 - sigma) * math.log(N)
-        - math.log(sigma + 2 * depth - 1)
-    ) > -(mp.dps - 10) * math.log(10):
-        depth += 1
+    a0, d = _to_mp(a0), _to_mp(d)
+    N, depth, sigma = _em_plan(a0, d, K, a)
     wp = mp.prec + max(0, math.ceil((1 - sigma) * math.log2(N)))
     W = wp + _FIX_GUARD
     one = 1 << W
 
-    def power_table(k):
-        """n^(-s) at the node s = a0 + i k h for n = 1..N: fixed-point real
-        parts, imaginary parts.  s is formed at wp bits too, since its
-        rounding enters every term of the partial sum."""
-        with mp.workprec(wp):
-            s = a0 + mpc(0, k * h)
-            return zip(*(_fix(_npow(n, s), W) for n in range(1, N + 1)))
-
-    tre, tim = power_table(0)
-    with mp.workprec(wp):
-        sre, sim = zip(*(_fix(mp.exp(mpc(0, -h) * mp.ln(n)), W) for n in range(1, N + 1)))
+    (tre, tim), (sre, sim) = _power_tables([a0, d], N, W)
+    tre, tim, sre, sim = tre[a - 1 :], tim[a - 1 :], sre[a - 1 :], sim[a - 1 :]
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
     coef = []
     for r in range(1, depth + 1):
@@ -407,16 +487,21 @@ def _zeta_line(a0, h, K):
         coef.append((b.numerator << 2 * W) // (b.denominator * math.factorial(2 * r)))
     nn_scale = (N * N) << W
     ar, ai = _fix(a0, W)
-    hf = int(mp.ldexp(h, W))
+    step_r, step_i = _fix(d, W)
     out = []
     for k in range(K + 1):
-        xr, xi = ar, ai + k * hf  # s = a0 + i k h
-        # N/(s - 1) + 1/2
+        xr, xi = ar + k * step_r, ai + k * step_i  # x = a0 + k d
+        # N/(x - 1) + 1/2; within 1 of the pole x - 1 = a0 + (k d - 1) in
+        # floating point, exact to its relative precision
         dr = xr - one
-        den = dr * dr + xi * xi
-        cr = ((N * dr) << 2 * W) // den + (one >> 1)
-        ci = ((-N * xi) << 2 * W) // den
-        rr, ri = xr // N, xi // N  # R_1 = s/N
+        if abs(dr) < one and abs(xi) < one:
+            with mp.workprec(wp):
+                cr, ci = _fix(N / (a0 + (k * d - 1)), W)
+        else:
+            den = dr * dr + xi * xi
+            cr, ci = ((N * dr) << 2 * W) // den, ((-N * xi) << 2 * W) // den
+        cr += one >> 1
+        rr, ri = xr // N, xi // N  # R_1 = x/N
         for r in range(depth):
             cr += (coef[r] * rr) >> 2 * W
             ci += (coef[r] * ri) >> 2 * W
@@ -425,18 +510,23 @@ def _zeta_line(a0, h, K):
                 v = u + one
                 qr, qi = (u * v - xi * xi) >> W, (xi * (u + v)) >> W
                 rr, ri = (rr * qr - ri * qi) // nn_scale, (rr * qi + ri * qr) // nn_scale
-        pr, pi = tre[-1], tim[-1]  # N^(-s)
+        pr, pi = tre[-1], tim[-1]  # N^(-x)
         vr = sum(tre) - pr + ((pr * cr - pi * ci) >> W)
         vi = sum(tim) - pi + ((pr * ci + pi * cr) >> W)
         out.append(_unfix(vr, vi, W))
         if k < K:
             if (k + 1) % 256 == 0:  # resync the stepped table against drift
-                tre, tim = power_table(k + 1)
+                with mp.workprec(W):  # the node's rounding enters every term
+                    x = a0 + (k + 1) * d
+                ((tre, tim),) = _power_tables([x], N, W)
+                tre, tim = tre[a - 1 :], tim[a - 1 :]
             else:
                 tre, tim = (
-                    [(a * c - b * d) >> W for a, b, c, d in zip(tre, tim, sre, sim)],
-                    [(a * d + b * c) >> W for a, b, c, d in zip(tre, tim, sre, sim)],
+                    [(tr * sr - ti * si) >> W for tr, ti, sr, si in zip(tre, tim, sre, sim)],
+                    [(tr * si + ti * sr) >> W for tr, ti, sr, si in zip(tre, tim, sre, sim)],
                 )
+    if mp.im(a0) == 0 and mp.im(d) == 0:
+        return [v.real for v in out]
     return out
 
 
@@ -463,8 +553,8 @@ def _half_line(s, c, h, K, neg_z):
     """[f(c + i k h) for k = 0..K], f(z) = Gamma(s+z) Gamma(-z) zeta(2s+z)
     zeta(s-z), given the line neg_z of Gamma(-z)."""
     gamma = _gamma_line(s + c, h, K)
-    zeta_a = _zeta_line(2 * s + c, h, K)
-    zeta_b = _zeta_line(s - c, -h, K)
+    zeta_a = _zeta_line(2 * s + c, mpc(0, h), K)
+    zeta_b = _zeta_line(s - c, mpc(0, -h), K)
     return [g * n * a * b for g, n, a, b in zip(gamma, neg_z, zeta_a, zeta_b)]
 
 
@@ -546,16 +636,24 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
         # each term takes on its poles' weights; only z = k >= M lie right of c
         c = M - mpf(1) / 2
         gamma_s = gamma_complex(s_ev)
+        # 2s - 1 and 1 - s exactly: near an integer s they lie within |s - n|
+        # of a pole of Gamma, which would amplify their rounding
         first = (
-            gamma_complex(2 * s_ev - 1)
-            * gamma_complex(1 - s_ev)
+            gamma_complex(mp.fsub(2 * s_ev, 1, exact=True))
+            * gamma_complex(mp.fsub(1, s_ev, exact=True))
             * zeta_complex(3 * s_ev - 1)
             / gamma_s
         ) * (1 - _pole_weight(1 - 2 * s_ev, c, h) + _pole_weight(s_ev - 1, c, h))
+        # zeta(2s + k) and zeta(s - k), k < M + _POLE_BAND: one row each, the
+        # second stepping left from s itself
+        n_terms = M + _POLE_BAND
+        with mp.workdps(finite_dps + 2):
+            zeta_a = _zeta_line(2 * s_ev, 1, n_terms - 1)
+            zeta_b = _zeta_line(s_ev, -1, n_terms - 1)
         finite_sum = mpf(0)
         coeff = mpf(1)  # (-1)^k (s)_k / k!
-        for k in range(M + _POLE_BAND):
-            term = coeff * zeta_complex(2 * s_ev + k) * zeta_complex(s_ev - k)
+        for k in range(n_terms):
+            term = coeff * zeta_a[k] * zeta_b[k]
             finite_sum += term * ((k < M) + _pole_weight(k, c, h) - _pole_weight(-s_ev - k, c, h))
             coeff = coeff * (s_ev + k) / (-(k + 1))
         value = first + finite_sum + trapezoid / gamma_s

@@ -22,9 +22,12 @@ from su3asym import witten_zeta
 from su3asym.witten_zeta import (
     _EM_DEPTH,
     _auto_M,
+    _em_plan,
     _g2,
     _gamma_line,
+    _npow,
     _pole_weight,
+    _power_tables,
     _zeta_line,
 )
 
@@ -226,9 +229,12 @@ def test_non_finite_or_float_overflowing_input_is_refused(s):
 def test_mb_finite_part_runs_at_its_error_budget(monkeypatch, s, bump):
     # the quadrature targets ceil(dps/3) = 20 digits at 60; the finite part
     # (every zeta_complex / gamma_complex call of the route) needs 24 more,
-    # plus the integer-point bump and the guard for |s|, not dps + 15
+    # plus the integer-point bump and the guard for |s|, not dps + 15; its
+    # rows zeta(2s + k) and zeta(s - k) run 2 digits above that, so that the
+    # kernel's target 10^-(dps - 10) stays under the finite part's rounding
     mp.dps = 60
     seen = []
+    lines = []
 
     def recording(f):
         def wrapped(x):
@@ -237,11 +243,58 @@ def test_mb_finite_part_runs_at_its_error_budget(monkeypatch, s, bump):
 
         return wrapped
 
+    def recording_line(a0, d, K, a=1):
+        lines.append((d, mp.dps))
+        return _zeta_line(a0, d, K, a)
+
     monkeypatch.setattr(witten_zeta, "zeta_complex", recording(zeta_complex))
     monkeypatch.setattr(witten_zeta, "gamma_complex", recording(gamma_complex))
+    monkeypatch.setattr(witten_zeta, "_zeta_line", recording_line)
     omega_result(s, method="mb")
     budget = 20 + 24 + bump + max(0, int(2 * math.log10(abs(complex(s)) + 2)))
     assert seen and max(seen) <= budget, (max(seen), budget)
+    rows = [dps for d, dps in lines if d in (1, -1)]
+    assert len(rows) == 2, lines
+    assert max(dps for _, dps in lines) <= budget + 2, (lines, budget)
+
+
+@pytest.mark.parametrize("s", [mpf("0.8"), mpc("0.3", "1.4"), mpf(-2), mpf(0)])
+def test_mb_point_calls_pointwise_zeta_once(monkeypatch, s):
+    # every zeta value of the finite part but the first term's zeta(3s - 1)
+    # comes from the kernel's rows
+    mp.dps = 60
+    args = []
+
+    def recording(x):
+        args.append(x)
+        return zeta_complex(x)
+
+    monkeypatch.setattr(witten_zeta, "zeta_complex", recording)
+    res = omega_result(s, method="mb")
+    assert len(args) == 1, args
+    assert abs(args[0] - (3 * res.s_evaluated - 1)) < mpf(10) ** -40
+
+
+@pytest.mark.parametrize(
+    "s, dps",
+    [(mpf(0), 30), (mpf(0), 60), (mpf(0), 100), (mpf("1e-40"), 100), (mpf(-2), 100)],
+    ids=["0-d30", "0-d60", "0-d100", "1e-40-d100", "-2-d100"],
+)
+def test_mb_error_claim_holds_next_to_an_integer(s, dps):
+    # at s = eps the k = 1 finite-part term -s zeta(2s+1) zeta(s-1) and the
+    # first term's Gamma(2s-1) are O(1) values of factors within 2 eps of a
+    # pole; an argument rounded in absolute terms (1 + 2 eps, -1 + 2 eps)
+    # put omega(0) at 60 digits 1.2e-54 off against a claim of 1e-56
+    mp.dps = dps
+    res = omega_result(s, method="mb")
+    mp.dps = 2 * dps + 20
+    rerun = omega_result(res.s_evaluated, method="mb").value
+    mp.dps = dps
+    err = abs(res.value - rerun)
+    assert err <= res.est_error, (
+        f"s={s}, dps={dps}: |value - rerun| = {mp.nstr(err, 3)} exceeds "
+        f"est_error {mp.nstr(res.est_error, 3)}"
+    )
 
 
 # -- the direct route's tail integrals and its error claim ---------------------
@@ -376,13 +429,145 @@ def _relative(s, dps, want):
 )
 def test_zeta_line_matches_pointwise(dps, a0, h, allowance):
     mp.dps = dps
-    values = _zeta_line(a0, h, LINE_NODES[-1])
+    values = _zeta_line(a0, mpc(0, h), LINE_NODES[-1])
     for k in LINE_NODES:
         with mp.workdps(dps + 10):
             s = a0 + mpc(0, k * h)
             want = zeta_complex(s)
         err = abs(values[k] - want)
         assert err < allowance(s, dps, want), f"dps={dps} node {k}: error {mp.nstr(err, 3)}"
+
+
+def _em_plan_bound(nodes, N, depth):
+    """The remainder bound _em_plan aims at on a path: Johansson's at the
+    nodes' largest |s| and least Re s, with |(s)_2D| <= (|s|)_2D."""
+    s_abs = max(abs(s) for s in nodes)
+    sigma = min(mp.re(s) for s in nodes)
+    return (
+        4 * mp.rf(s_abs, 2 * depth) / (2 * mp.pi * N) ** (2 * depth)
+        * mpf(N) ** (1 - sigma) / (sigma + 2 * depth - 1)
+    )
+
+
+@pytest.mark.parametrize("K", [0, 110, LINE_NODES[-1]])
+def test_far_left_line_meets_its_remainder_bound(K):
+    # with the depth capped at the cutoff, the depth loop stopped at
+    # D = N = 57 on the shorter lines, the bound at 10^-23.4 against the
+    # target 10^-24; the cutoff now grows instead
+    mp.dps = 34
+    a0, d = mpc("-30.5", "0.3"), mpc(0, mpf("0.0511"))
+    N, depth, _ = _em_plan(a0, d, K)
+    nodes = [a0 + k * d for k in range(K + 1)]
+    bound = _em_plan_bound(nodes, N, depth)
+    assert bound <= mpf(10) ** -24, f"N={N}, D={depth}, bound {mp.nstr(bound, 3)}"
+    assert max(_em_remainder_bound(s, N, depth) for s in nodes) <= bound
+
+
+def _row_allowance(dps, want):
+    """The kernel's target 10^-(dps - 10) plus a thousand units in the last
+    digit of the value, which the output rounding alone can reach."""
+    return mpf(10) ** (10 - dps) + mpf(10) ** (3 - dps) * abs(want)
+
+
+@pytest.mark.parametrize("dps", [34, 60])
+@pytest.mark.parametrize(
+    "start, d, K",
+    [(0, 1, 5), (-5, -1, 16), (mpc("-0.35", "1.7"), -1, 9), (mpc("-0.7", "3.4"), 1, 9)],
+    ids=["right-from-2eps", "left-from-minus5", "left-complex", "right-complex"],
+)
+def test_zeta_rows_match_pointwise(dps, start, d, K):
+    # the finite part's rows at an integer point s = n + eps: zeta(2s + k)
+    # passes the pole at 1 + 2 eps, and zeta(s - k) from s = -5 + eps runs
+    # through the trivial zeros -2m + eps down to Re = -21; each node against
+    # zeta_complex at 10 more digits, its argument formed exactly
+    mp.dps = dps
+    eps = mpf(10) ** -(dps // 2 + 2)
+    a0 = (2 if d == 1 else 1) * (start + eps)
+    values = _zeta_line(a0, d, K)
+    for k in range(K + 1):
+        with mp.workdps(dps + 10):
+            want = zeta_complex(mp.fadd(a0, k * d, exact=True))
+        err = abs(values[k] - want)
+        assert err <= _row_allowance(dps, want), (
+            f"dps={dps} node {k}: error {mp.nstr(err, 3)}, |zeta| {mp.nstr(abs(want), 3)}"
+        )
+
+
+def test_far_left_row_of_the_finite_part_meets_its_bound(monkeypatch):
+    # omega(-5) takes M = 14, so its row zeta(s - k) reaches Re = -21, further
+    # left than any default contour line
+    plans = []
+
+    def recording(a0, d, K, a=1):
+        plan = _em_plan(a0, d, K, a)
+        plans.append((a0, d, K, mp.dps, plan))
+        return plan
+
+    monkeypatch.setattr(witten_zeta, "_em_plan", recording)
+    omega_result(mpf(-5), method="mb")
+    ((a0, d, K, dps, (N, depth, sigma)),) = [p for p in plans if p[1] == -1]
+    assert sigma < -20.9, sigma
+    nodes = [a0 + k * d for k in range(K + 1)]
+    bound = _em_plan_bound(nodes, N, depth)
+    assert bound <= mpf(10) ** (10 - dps), f"N={N}, D={depth}, bound {mp.nstr(bound, 3)}"
+    assert max(_em_remainder_bound(s, N, depth) for s in nodes) <= bound
+    mp.dps = dps
+    values = _zeta_line(a0, d, K)
+    for k in range(K + 1):
+        with mp.workdps(dps + 10):
+            want = zeta_complex(mp.fadd(a0, k * d, exact=True))
+        assert abs(values[k] - want) <= _row_allowance(dps, want), f"node {k}"
+
+
+@pytest.mark.parametrize("dps", [40, 70, 110])
+@pytest.mark.parametrize(
+    "s", [mpf("1.1"), mpc("1.5", "2.1"), mpc("4", "120")], ids=["1.1", "1.5+2.1i", "4+120i"]
+)
+def test_hurwitz_corner_row_matches_mpmath(dps, s):
+    # the direct route's corner: zeta(3s + 2r - 1, 129) for r = 0..13, one
+    # row with step 2 whose partial sum starts at n = 129
+    mp.dps = dps
+    x0 = 3 * s - 1
+    values = _zeta_line(x0, 2, 13, 129)
+    for r in range(14):
+        with mp.workdps(dps + 10):
+            want = mp.zeta(x0 + 2 * r, 129)
+        err = abs(values[r] - want)
+        assert err <= mpf(10) ** (10 - dps), f"dps={dps} r={r}: error {mp.nstr(err, 3)}"
+
+
+def _big_omega(n):
+    """The number of prime factors of n, counted with multiplicity."""
+    count, p = 0, 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            count += 1
+        p += 1
+    return count
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    sigma=st.floats(min_value=-22, max_value=8),
+    t=st.one_of(st.just(0.0), st.floats(min_value=-60, max_value=60)),
+    N=st.integers(min_value=2, max_value=300),
+    W=st.integers(min_value=60, max_value=400),
+)
+def test_power_table_matches_per_entry_powers(sigma, t, N, W):
+    # one rounded exp(-x ln p) per prime and one rounded product per
+    # composite keep each entry within sqrt(2) Omega(n) units of 2^-W of
+    # n^(-x), relative to |n^(-x)| where that exceeds 1
+    mp.dps = 30
+    x = mpc(sigma, t) if t else mpf(sigma)
+    ((re, im),) = _power_tables([x], N, W)
+    with mp.workprec(W + 60):
+        for n in range(1, N + 1):
+            want = _npow(n, x)
+            err = mp.hypot(
+                re[n - 1] - mp.ldexp(mp.re(want), W), im[n - 1] - mp.ldexp(mp.im(want), W)
+            )
+            assert err <= mp.sqrt(2) * _big_omega(n) * max(1, abs(want)), (n, mp.nstr(err, 3))
 
 
 @pytest.mark.parametrize("dps", [34, 60])
