@@ -13,12 +13,14 @@ Two independent evaluation routes are provided and cross-checked:
   j, k <= P, with the two edge strips {j <= P < k} accelerated by
   Euler-Maclaurin corrections in k.  The tail integrals reduce to the
   incomplete-beta-type function G2(a; s, w) = integral over t in [a, oo) of
-  t^(-s) (1+t)^(-w) dt, which by the Euler integral is one Gauss
-  hypergeometric function, G2(1/x; s, w) = x^e 2F1(w, e; e+1; -x) / e with
-  e = s + w - 1 (mpmath's hyp2f1).  The corner {j, k > P} is the diagonal
-  plus twice the triangle P < j < k; Euler-Maclaurin from k = j makes each
-  row a finite sum of powers of j, so the corner is a list of Hurwitz zeta
-  values zeta(x, P+1) (DLMF 25.11):
+  t^(-s) (1+t)^(-w) dt.  On the strips (w = s, a = K/j >= 2) they are one
+  binomial series, G2(1/x; s, s) = x^(2s-1) sum_m binom(-s, m) x^m/(2s-1+m),
+  whose coefficient table all rows share; in the corner (a = 1) the Euler
+  integral makes it one Gauss hypergeometric function,
+  G2(1; s, s) = 2F1(s, 2s-1; 2s; -1) / (2s - 1) (mpmath's hyp2f1).  The
+  corner {j, k > P} is the diagonal plus twice the triangle P < j < k;
+  Euler-Maclaurin from k = j makes each row a finite sum of powers of j, so
+  the corner is a list of Hurwitz zeta values zeta(x, P+1) (DLMF 25.11):
 
       corner = 2 G2(1; s, s) zeta(3s-1, P+1)
                - 2^(1-s) sum_{r=1}^{R} (B_2r/(2r)) d_(2r-1) zeta(3s+2r-1, P+1),
@@ -26,7 +28,8 @@ Two independent evaluation routes are provided and cross-checked:
   d_q the Taylor coefficients of (1+u)^(-s) (1+u/2)^(-s); the double series
   is the SU(3) Witten zeta of Romik (Acta Arith. 2017).  The R + 2 Hurwitz
   values are one row of the package's zeta kernel (below).  Valid for
-  Re(s) >= 1.1.
+  Re(s) >= 1.1; a point whose strip series would need more than
+  _TAIL_TERMS_MAX terms (|s| beyond about 5000) is refused before any work.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -88,19 +91,21 @@ least 8 orders below the quadrature's, and its two zeta rows 2 digits above
 that, so that the kernel's target 10^-(digits - 10) stays under the finite
 part's rounding allowance.  Near an integer the arguments 2s - 1 and 1 - s of
 Gamma are formed exactly.  The direct route runs at
-max(30, dps/2 + 18) + 10 + 2 log10(|s| + 2) digits; each row of its block
-and edge strips, and each row's Euler-Maclaurin correction polynomial, is one
-exact dot product (mpmath's fdot), rounded once; its corner row runs 10
-digits above the working precision raised by its coefficients' size, which
-keeps the kernel's target, so weighted, far below the rounding allowance.
+max(30, dps/2 + 18) + 10 + 2 log10(|s| + 2) digits; its block, edge strips,
+correction polynomials and strip series run in fixed point with 30 guard
+bits over that precision (more where the corrections grow with |s|), whose
+rounding stays far inside its allowance of 10^4 units in the last place per
+row; its corner row runs 10 digits above the working
+precision raised by its coefficients' size, which keeps the kernel's target,
+so weighted, far below the rounding allowance.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from mpmath import mp, mpc, mpf
 
@@ -135,6 +140,10 @@ class WittenZetaPoleError(ZeroDivisionError):
 # ``method="auto"`` switches from the continuation to it.
 _DIRECT_P = 128
 _DIRECT_R = 12
+# Direct route: fixed-point guard bits of its rows, and the most terms its
+# strip-tail series may take before the route refuses the point.
+_DIRECT_GUARD = 30
+_TAIL_TERMS_MAX = 10000
 # Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
 # zeta line; higher precisions and lines far left take more (see _zeta_line).
 _EM_DEPTH = 13
@@ -162,11 +171,6 @@ class OmegaResult:
     value: object
     method: str
     est_error: object
-
-
-def _npow(n: int, s) -> mpc:
-    """n^(-s) via exp(-s ln n)."""
-    return mp.exp(-s * mp.ln(n))
 
 
 # -- pole bookkeeping -----------------------------------------------------------
@@ -229,10 +233,27 @@ def _direct_eval(s):
 
     Splits the lattice into the rows j <= P (the block {j, k <= P} and the
     two symmetric edge strips {j <= P < k}), each summed exactly to
-    k = max(P, 2j) and closed by an Euler-Maclaurin tail in k, and the corner
-    {j, k > P}, whose rows' Euler-Maclaurin forms sum to Hurwitz zeta values.
-    Rows, correction polynomials and the corner are exact dot products, each
-    rounded once, so tol * (P + 4) over-bounds the rounding.
+    k = K_j = max(P, 2j) and closed by an Euler-Maclaurin tail in k, and the
+    corner {j, k > P}, whose rows' Euler-Maclaurin forms sum to Hurwitz zeta
+    values.  The rows run in fixed point at W = prec + _DIRECT_GUARD bits,
+    plus the bits of the correction polynomials' largest value: the table
+    n^(-s), n <= 3P, from _power_tables (one exp(-s ln p) per prime); each
+    row's block sum as integer dot products; its correction polynomials by
+    Horner with integer floor division; its tail integral K^(1-2s) S(j/K)
+    from the one series of _StripTail.
+
+    Rounding, in units u = 2^-(prec + _DIRECT_GUARD), W >= prec +
+    _DIRECT_GUARD: an entry n^(-s) is at most 1 in modulus (Re s > 0) and
+    within sqrt(2) Omega(n) <= 12 u of its value, so a product of two is
+    within 24 u and a block row of at most P of them within 24 P u; a
+    correction is within 3 units of 2^-W and multiplies a base term's 24
+    units of 2^-W by at most 2^(W - prec - _DIRECT_GUARD); K^(1-2s) and
+    S(j/K), truncation included, are within 24 u and 3 u, and |S| < 1.  A
+    row therefore carries about 50 P + 200 u, and the P rows under 2^21 u,
+    2^-9 units in the last place of the working precision: far inside the
+    allowance tol (P + 4) = 10^4 (P + 4) such units.  The corner is formed
+    in floating point, each of its terms rounded once, and the allowance
+    covers it as before.
     """
     P = _DIRECT_P
     R = _DIRECT_R
@@ -240,11 +261,6 @@ def _direct_eval(s):
         s = mp.re(s)  # real arithmetic throughout
     tol = mpf(10) ** (-(mp.dps - 4))  # rounding allowance per summed piece
     n_ord = 2 * R + 2
-
-    pw = [None] * (3 * P + 1)
-    for n in range(1, 3 * P + 1):
-        pw[n] = _npow(n, s)
-
     bern_over = [None] + [bernoulli_mpf(2 * r) / (2 * r) for r in range(1, R + 1)]
     bern_next = abs(bernoulli_mpf(2 * R + 2) / (2 * R + 2))
 
@@ -264,7 +280,7 @@ def _direct_eval(s):
         """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(n_ord - 1)."""
         return PowerSeries([mpf(1), c1, c2] + [0] * (n_ord - 3)).pow_real(-s).coeffs
 
-    est = mpf(0)
+    tail = _StripTail(s, mp.prec + _DIRECT_GUARD)  # refuses before any other work
     beta = taylor(mpf(1))
     at_P = taylor(1 / mpf(P))
     # sum_r B_2r/(2r) c_(2r-1) and c_(2R+1) as polynomials in y (rows 2j < P)
@@ -278,32 +294,63 @@ def _direct_eval(s):
     # gamma_(2r-1) for r = 1..R+1 (rows 2j >= P)
     gamma_odd = taylor(mpf(5) / 6, mpf(1) / 6)[1::2]
     corr_j = [bern_over[r] * gamma_odd[r - 1] for r in range(1, R + 1)]
-    # tail integrals G2(K/j; s, s), each one 2F1 (see _g2): x = j/P on the
-    # rows 2j < P, x = 1/2 on the rest
-    n_low = (P + 1) // 2  # rows 1..n_low-1 have 2j < P
-    tails = [_g2(s, s, mpf(j) / P) for j in range(1, n_low)] + [_g2(s, s, mpf(1) / 2)]
-    acc = mpf(0)
+    # a correction multiplies the absolute rounding of its row's base term:
+    # W carries the bits of the largest (y <= 1/(P+1), 1/j <= 2/P)
+    big = max(
+        sum(abs(c) / mpf(P + 1) ** m for m, c in enumerate(corr_y)),
+        sum(abs(c) * (mpf(2) / P) ** (2 * r + 1) for r, c in enumerate(corr_j)),
+    )
+    W = tail.W + max(0, int(mp.log(big, 2)) + 1)
+    ((re, im),) = _power_tables([s], 3 * P, W)
+    pw = [None] + list(zip(re, im))  # pw[n] = n^(-s), scale 2^W
+    fy = [_fix(c, W) for c in corr_y]
+    ly = [_fix(c, W) for c in last_y]
+    fj = [_fix(c, W) for c in corr_j]
+    g_last = _fix(gamma_odd[R], W)
+    s_half = tail.at(1, 2)  # S(1/2), shared by the rows 2j >= P
+    # the block sums in Gauss's three products: (a + ib)(c + id) has real part
+    # ac - bd and imaginary part (a + b)(c + d) - ac - bd
+    sums = list(map(add, re, im))
+    re, im, sums = [0] + re, [0] + im, [0] + sums
+    acc_r = acc_i = 0  # scale 2^(3W)
+    with mp.workprec(64):
+        sigma = +mp.re(s)
+    est_terms = []
     for j in range(1, P + 1):
         K = max(P, 2 * j)
+        lo, hi, lo2, hi2 = j + 1, K + 1, 2 * j + 1, j + K + 1
+        ac = sum(map(mul, re[lo:hi], re[lo2:hi2]))
+        bd = sum(map(mul, im[lo:hi], im[lo2:hi2]))
+        row_r, row_i = ac - bd, sum(map(mul, sums[lo:hi], sums[lo2:hi2])) - ac - bd
         pj = pw[j]
-        row = mp.fdot(pw[j + 1 : K + 1], pw[2 * j + 1 : j + K + 1])
-        acc += pj * (2 * row + pj * pw[2 * j])
+        base = _cmul(pw[K], pw[j + K], W)
         if 2 * j < P:
-            y = 1 / mpf(j + P)
-            powers = list(accumulate([mpf(1)] + [y] * (2 * R + 1), mul))  # y^0..y^(2R+1)
-            corr = mp.fdot(corr_y, powers[: 2 * R])
-            last = mp.fdot(last_y, powers)
-            g2 = tails[j - 1]
+            corr = _horner(fy, 1, j + P)
+            last = _horner(ly, 1, j + P)
+            S = tail.at(j, P)
         else:
-            u = 1 / mpf(j)
-            powers = list(accumulate([u] + [u * u] * R, mul))  # u, u^3, .., u^(2R+1)
-            corr = mp.fdot(corr_j, powers[:R])
-            last = gamma_odd[R] * powers[R]
-            g2 = tails[-1]
-        integral = mp.exp((1 - 2 * s) * mp.ln(j)) * g2
-        base = pw[K] * pw[j + K]
-        acc += 2 * pj * (integral - base / 2 - base * corr)
-        est += abs(2 * pj * base * bern_next * last)
+            cr, ci = _horner(fj, 1, j * j)
+            corr = cr // j, ci // j
+            last = g_last[0] // j ** (2 * R + 1), g_last[1] // j ** (2 * R + 1)
+            S = s_half
+        kr, ki = pw[K]  # the tail integral K^(1-2s) S(j/K)
+        integral = _cmul(((K * (kr * kr - ki * ki)) >> W, (2 * K * kr * ki) >> W), S, tail.W)
+        # pj (2 row + pj pw[2j] + 2 integral - base - 2 base corr), at 2^(3W)
+        bc = _cmul(base, corr, 0)
+        dg = _cmul(pj, pw[2 * j], 0)
+        br = 2 * row_r + dg[0] + ((2 * integral[0] - base[0]) << W) - 2 * bc[0]
+        bi = 2 * row_i + dg[1] + ((2 * integral[1] - base[1]) << W) - 2 * bc[1]
+        acc_r += pj[0] * br - pj[1] * bi
+        acc_i += pj[0] * bi + pj[1] * br
+        # |pj base| = (j K (j+K))^(-sigma), free of the table's absolute
+        # rounding, which would swamp a tiny pj base
+        with mp.workprec(64):
+            size = mp.ldexp(mp.sqrt(last[0] ** 2 + last[1] ** 2), -W)
+            est_terms.append(size * mpf(j * K * (j + K)) ** -sigma)
+    acc = mp.ldexp(acc_r, -3 * W)
+    if mp.im(s) != 0:
+        acc = mpc(acc, mp.ldexp(acc_i, -3 * W))
+    est = 2 * bern_next * mp.fsum(est_terms)  # the first omitted Euler-Maclaurin terms
 
     # corner j, k > P: the diagonal 2^(-s) zeta(3s, P+1) plus twice the
     # triangle P < j < k.  Row j of the triangle is Euler-Maclaurin from k = j
@@ -324,10 +371,105 @@ def _direct_eval(s):
     guard = 5 + max(0, int(mp.log10(max(abs(c) for c in coeffs))))
     with mp.workdps(mp.dps + guard + 10):
         hurwitz = _zeta_line(3 * s - 1, 2, R + 1, P + 1)
-    acc += mp.fdot(coeffs[:-1], hurwitz)
+    acc += mp.fsum(c * h for c, h in zip(coeffs[:-1], hurwitz))
     est += abs(coeffs[-1] * hurwitz[-1])
     est += tol * (P + 4)
     return acc, est
+
+
+def _cmul(a, b, shift):
+    """The product of two fixed-point pairs, shifted right by `shift` bits."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> shift, (ar * bi + ai * br) >> shift
+
+
+def _horner(coeffs, num, den):
+    """sum_m coeffs[m] (num/den)^m for fixed-point pairs and 0 < num/den <= 1/2,
+    by Horner with floor division: each step rounds once and scales the
+    earlier error by num/den, so the value is within 2 units of the exact
+    sum of the given coefficients."""
+    hr = hi = 0
+    for cr, ci in reversed(coeffs):
+        hr = hr * num // den + cr
+        hi = hi * num // den + ci
+    return hr, hi
+
+
+class _StripTail:
+    """The edge strips' tail integrals as one series: for 0 < x <= 1/2,
+
+        S(x) = x^(1-2s) G2(1/x; s, s) = integral over v in [0, 1] of
+               v^(2s-2) (1 + x v)^(-s) dv = sum_m c_m x^m,
+        c_m = b_m / (2s - 1 + m),  b_m = binom(-s, m)
+
+    (the binomial series of (1 + x v)^(-s) integrated term by term), so row j
+    of the direct route has the tail integral K^(1-2s) S(j/K).  The Taylor
+    remainder of (1 + z)^(-s) after the z^m term is (m+1) b_(m+1) z^(m+1)
+    times the integral over t in [0, 1] of (1-t)^m (1+tz)^(-s-m-1) dt, whose
+    integrand is at most 1 in modulus for real z >= 0, so
+
+        |sum_{k>m} c_k x^k| <= |b_(m+1)| x^(m+1) / (2 Re s + m):
+
+    the tail of the series is bounded by its first omitted binomial term,
+    however large the terms grow before they decay (about e^(|Im s|/2) at
+    x = 1/2).  Its logarithm, in floats, gives the term count n for x = 1/2
+    before the table is built, and a count past _TAIL_TERMS_MAX is refused;
+    a row at x = num/den <= 1/2 takes the fewest terms whose tail is below
+    2^-(W+2).
+
+    The table is fixed point at V = W + 4 bits, built by b_(m+1) = -b_m
+    (s + m)/(m + 1) from s rounded to 2^-V.  A step's rounding e (at most 2
+    units per part) reaches every later b_k as e b_k / b_(m+1), so it moves
+    S by e T_m / b_(m+1), T_m the tail past m: at most 2 sqrt(2) x^(m+1) /
+    (2 Re s + m) units by the bound above, under 1.3 units in all for
+    Re s >= 1.1.  Absolute rounding thus never meets the terms' growth,
+    which would cost digits in floating point.  Each c_m's division adds a
+    unit times x^m, Horner 2 units, and the rounding of s moves S by under
+    2 units, as |dS/ds| <= 2/(2 Re s - 1)^2 + ln(3/2)/(2 Re s - 1) < 2: at
+    most 9 units of 2^-V, and a value at 2^-W is within 3 units of S(x)."""
+
+    def __init__(self, s, W):
+        self.W = W
+        sc = complex(s)
+        self.target = -(W + 2) * math.log(2)
+        # ln(|b_m| / (2 Re s - 1 + m)), the tail bound past m - 1 at x = 1
+        self.logs = [-math.log(2 * sc.real - 1)]
+        ln_b = 0.0  # ln |b_m|
+        while not self._converged(len(self.logs) - 1, 0.5):
+            m = len(self.logs) - 1
+            if m >= _TAIL_TERMS_MAX:
+                raise ValueError(
+                    f"the direct route's strip-tail series at s = {mp.nstr(s, 8)} would need "
+                    f"more than {_TAIL_TERMS_MAX} terms; use method=\"mb\""
+                )
+            ln_b += math.log(abs(sc + m) / (m + 1))
+            self.logs.append(ln_b - math.log(2 * sc.real + m))
+        n = len(self.logs) - 1
+        V = W + 4
+        sr, si = _fix(s, V)
+        br, bi = 1 << V, 0  # b_m, scale 2^V
+        self.coeffs = []
+        for m in range(n):
+            dr, di = 2 * sr + ((m - 1) << V), 2 * si  # 2s - 1 + m
+            den = dr * dr + di * di
+            cr, ci = (br * dr + bi * di) << V, (bi * dr - br * di) << V
+            self.coeffs.append((cr // den, ci // den))
+            ur = sr + (m << V)  # s + m
+            br, bi = (-(br * ur - bi * si) >> V) // (m + 1), (-(br * si + bi * ur) >> V) // (m + 1)
+
+    def _converged(self, m, x):
+        """Whether the bound puts the terms from m on below e^target at x."""
+        return self.logs[m] + m * math.log(x) <= self.target
+
+    def at(self, num, den):
+        """S(num/den) as a fixed-point pair at scale 2^W, from the fewest
+        terms that the bound allows at that x (it falls once the terms do,
+        and holds at n for every x <= 1/2)."""
+        x = num / den
+        n = bisect.bisect_left(range(len(self.logs)), True, key=lambda m: self._converged(m, x))
+        hr, hi = _horner(self.coeffs[:n], num, den)
+        return hr >> 4, hi >> 4  # from 2^-(W+4) to 2^-W
+
 
 # -- the zeta kernel along straight paths ------------------------------------------
 #
@@ -351,13 +493,15 @@ def _direct_eval(s):
 #
 # Fixed-point values carry an absolute error of a few units of 2^-W per
 # operation; the guard bits absorb the drift of 255 stepped nodes between
-# two resynchronisations of the power table.  Left of Re(a0) = 1 the partial
-# sum reaches N^(1 - Re a0) and cancels down to zeta, so wp is the working
-# precision plus ceil((1 - Re a0) log2 N) guard bits there, and the working
-# precision elsewhere.  Within 1 of the pole the term N/(x - 1) is formed in
-# floating point from x - 1 = a0 + (k d - 1), which keeps a node such as
-# 2s + 1 at s = 10^-32 exact to its relative precision, where the pole would
-# amplify a fixed-point node's absolute rounding.
+# two resynchronisations of the power table.  Left of Re(x) = 1 the partial
+# sum reaches N^(1 - Re x) and cancels down to zeta, and a path stepping left
+# from Re(a0) > 1 multiplies the table n^(-a0), whose entries lie far below 1,
+# by up to N^(Re a0 - Re x), and with it their absolute rounding; so wp is the
+# working precision plus ceil((max(1, Re a0) - sigma) log2 N) guard bits,
+# sigma the path's least real part.  Within 1 of the pole the term N/(x - 1)
+# is formed in floating point from x - 1 = a0 + (k d - 1), which keeps a node
+# such as 2s + 1 at s = 10^-32 exact to its relative precision, where the pole
+# would amplify a fixed-point node's absolute rounding.
 
 _FIX_GUARD = 20
 
@@ -466,15 +610,17 @@ def _zeta_line(a0, d, K, a=1):
     is R_r times (x+2r-1)(x+2r)/N^2, which keeps it of moderate size where
     (x)_(2r-1) and B_2r/(2r)! alone would leave the fixed-point range.  N and
     D come from _em_plan, which makes the remainder at most 10^-(dps - 10) at
-    every node.  For sigma < 1 the terms reach N^(1-sigma), so the kernel
-    works with ceil((1 - sigma) log2 N) bits over the working precision.  The
+    every node.  The terms reach N^(1-sigma), and a row stepping left from
+    Re a0 > 1 grows its first table's absolute rounding by up to
+    N^(Re a0 - sigma), so the kernel works with
+    ceil((max(1, Re a0) - sigma) log2 N) bits over the working precision.  The
     tables n^(-a0) and n^(-d) for n <= N come from _power_tables; the first is
     advanced by the second per node and recomputed from scratch every 256
     nodes.  A path on the real axis gives mpf values, any other mpc.
     """
     a0, d = _to_mp(a0), _to_mp(d)
     N, depth, sigma = _em_plan(a0, d, K, a)
-    wp = mp.prec + max(0, math.ceil((1 - sigma) * math.log2(N)))
+    wp = mp.prec + max(0, math.ceil((max(1.0, float(mp.re(a0))) - sigma) * math.log2(N)))
     W = wp + _FIX_GUARD
     one = 1 << W
 

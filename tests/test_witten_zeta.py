@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,17 +22,23 @@ from su3asym.witten_zeta import (
 from su3asym import witten_zeta
 from su3asym.witten_zeta import (
     _EM_DEPTH,
+    _StripTail,
     _auto_M,
     _em_plan,
     _g2,
     _gamma_line,
-    _npow,
     _pole_weight,
     _power_tables,
+    _unfix,
     _zeta_line,
 )
 
 mp.dps = 60
+
+
+def _npow(n, s):
+    """n^(-s) via exp(-s ln n), the reference for the power tables."""
+    return mp.exp(-s * mp.ln(n))
 
 
 def test_direct_closed_form_values():
@@ -313,6 +320,85 @@ def test_g2_matches_quadrature_of_its_integral(s):
         assert rel <= mpf("1e-35"), f"s={s}, w={w}, x={x}: relative error {mp.nstr(rel, 3)}"
 
 
+TAIL_POINTS = [mpf("1.3"), mpc("1.5", "2.1"), mpc("3.3", "-7"), mpc("1.3", "40"), mpc("1.5", "200")]
+
+
+def _tail_by_quadrature(s, x):
+    """S(x) = int_0^1 v^(2s-2) (1 + x v)^(-s) dv with v = e^(-w) and w on the
+    ray where e^(-(2s-1) w) decays without oscillating: the integrand is
+    analytic for Re w >= 0, where |x e^(-w)| <= x < 1.  It is cut where
+    e^(-|2s-1| r) times the largest |(1 + z)^(-s)|, below
+    2^(Re s) e^(|Im s| pi/6), falls under 10^-(dps+10)."""
+    e = 2 * s - 1
+    rot = mp.expj(-mp.arg(e))
+    r_max = ((mp.dps + 10) * mp.ln(10) + abs(mp.im(s)) * mp.pi / 6 + mp.re(s)) / abs(e)
+    return rot * mp.quad(
+        lambda r: mp.exp(-abs(e) * r) * (1 + x * mp.exp(-r * rot)) ** (-s), mp.linspace(0, r_max, 4)
+    )
+
+
+@pytest.mark.parametrize("dps", [40, 150])
+@pytest.mark.parametrize("s", TAIL_POINTS, ids=["1.3", "1.5+2.1i", "3.3-7i", "1.3+40i", "1.5+200i"])
+def test_strip_tail_series_matches_g2_and_quadrature(dps, s):
+    # S(x) = x^(1-2s) G2(1/x; s, s) at the strip rows' x = j/128 and 1/2, from
+    # one coefficient table per s, against mpmath's hyp2f1 and against the
+    # integral.  At height 200 its terms grow to about 2^138 before they
+    # decay, so coefficients rounded in floating point at the working
+    # precision lose about 41 digits.  The 150-digit quadrature (about 1 s a
+    # point at low height) runs only at x = 63/128 and height 40 and 200
+    mp.dps = dps
+    W = mp.prec
+    tail = _StripTail(s, W)
+    for num, den in [(1, 128), (37, 128), (63, 128), (1, 2)]:
+        x = mpf(num) / den
+        got = _unfix(*tail.at(num, den), W)
+        with mp.workdps(dps + 5):
+            refs = {"hyp2f1": x ** (1 - 2 * s) * _g2(s, s, x)}
+            if dps == 40 or (num == 63 and abs(mp.im(s)) >= 40):
+                refs["quad"] = _tail_by_quadrature(s, x)
+        for name, want in refs.items():
+            rel = abs(got - want) / abs(want)
+            assert rel <= mpf(10) ** (5 - dps), (
+                f"s={s}, x={num}/{den}, dps={dps}: relative error {mp.nstr(rel, 3)} against {name}"
+            )
+
+
+def test_direct_point_calls_hyp2f1_at_most_once_and_fdot_never(monkeypatch):
+    # the strip tails share one series; only the corner's G2(1; s, s) is
+    # hyp2f1.  Calls that mpmath makes from inside a counted call (hyp2f1's
+    # transformations call it again) are not the route's
+    mp.dps = 60
+    calls = {"hyp2f1": 0, "fdot": 0}
+    inside = []
+    for name in calls:
+
+        def counting(*args, _f=getattr(mp, name), _name=name, **kwargs):
+            calls[_name] += not inside
+            inside.append(_name)
+            try:
+                return _f(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(mp, name, counting)
+    omega_result(mpc("1.5", "2.1"), method="direct")
+    assert calls["hyp2f1"] <= 1 and calls["fdot"] == 0, calls
+
+
+def test_direct_refuses_an_unaffordable_tail_series_up_front():
+    # 1.5 + 10^6 i needs about 1.9e6 terms; mpmath's hyp2f1 spent 4.3 s there
+    # before it raised NoConvergence
+    mp.dps = 60
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match='method="mb"'):
+        omega_result(mpc("1.5", "1e6"))
+    assert time.perf_counter() - start < 1
+    # far up but with a large real part the route is still good to 57 digits
+    for s, claim in [(mpc(40, 900), mpf("1.4e-57")), (mpc(100, 1000), mpf("1.4e-58"))]:
+        res = omega_result(s, method="direct")
+        assert res.est_error <= claim, (s, mp.nstr(res.est_error, 3))
+
+
 @pytest.mark.parametrize("s", [mpc("4", "120"), mpc("1.2", "-60")])
 def test_direct_error_claim_holds_at_large_imaginary_part(s):
     mp.dps = 120
@@ -490,6 +576,38 @@ def test_zeta_rows_match_pointwise(dps, start, d, K):
         err = abs(values[k] - want)
         assert err <= _row_allowance(dps, want), (
             f"dps={dps} node {k}: error {mp.nstr(err, 3)}, |zeta| {mp.nstr(abs(want), 3)}"
+        )
+
+
+@pytest.mark.parametrize("dps", [34, 60])
+@pytest.mark.parametrize("s, K", [(mpf("20.3"), 23), (mpf("30.3"), 33)], ids=["20.3", "30.3"])
+def test_left_stepping_row_from_right_of_one_keeps_its_digits(dps, s, K):
+    # the finite part's row zeta(s - k), k <= M + 2, at Re s > 1: it starts
+    # from the table n^(-s), whose entries are far below 1, and multiplies it
+    # by n per step, so an entry's absolute rounding grows by up to N^k
+    mp.dps = dps
+    values = _zeta_line(s, -1, K)
+    for k in range(K + 1):
+        with mp.workdps(dps + 10):
+            want = zeta_complex(mp.fsub(s, k, exact=True))
+        err = abs(values[k] - want)
+        assert err <= _row_allowance(dps, want), (
+            f"s={s}, dps={dps}, node {k}: error {mp.nstr(err, 3)}, |zeta| {mp.nstr(abs(want), 3)}"
+        )
+
+
+@pytest.mark.parametrize("dps", [30, 60])
+def test_mb_agrees_with_direct_right_of_the_overlap_strip(dps):
+    # mb's finite part steps zeta(s - k) left from s itself; the direct route
+    # takes no left-stepping row
+    mp.dps = dps
+    for s in (mpf("6.3"), mpf("12.3"), mpf("16.3"), mpf("20.3")):
+        mb = omega_result(s, method="mb")
+        direct = omega_result(s, method="direct")
+        diff = abs(mb.value - direct.value)
+        assert diff <= mb.est_error + direct.est_error, (
+            f"s={s}, dps={dps}: |mb - direct| = {mp.nstr(diff, 3)} exceeds "
+            f"est_error(mb) + est_error(direct) = {mp.nstr(mb.est_error + direct.est_error, 3)}"
         )
 
 
