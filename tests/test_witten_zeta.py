@@ -27,6 +27,7 @@ from su3asym.witten_zeta import (
     _em_plan,
     _g2,
     _gamma_line,
+    _horner,
     _pole_weight,
     _power_tables,
     _unfix,
@@ -361,6 +362,23 @@ def test_strip_tail_series_matches_g2_and_quadrature(dps, s):
             assert rel <= mpf(10) ** (5 - dps), (
                 f"s={s}, x={num}/{den}, dps={dps}: relative error {mp.nstr(rel, 3)} against {name}"
             )
+
+
+@given(
+    coeffs=st.lists(
+        st.tuples(st.integers(-(2**1500), 2**1500), st.integers(-(2**1500), 2**1500)), max_size=40
+    ),
+    num=st.integers(min_value=1, max_value=200),
+    den=st.one_of(st.integers(min_value=2, max_value=400), st.sampled_from([2, 128, 1 << 20])),
+)
+def test_horner_shift_matches_floor_division(coeffs, num, den):
+    # a power-of-two den takes the shift, which must floor exactly like //,
+    # negative parts included; any other den takes // itself
+    hr = hi = 0
+    for cr, ci in reversed(coeffs):
+        hr = hr * num // den + cr
+        hi = hi * num // den + ci
+    assert _horner(coeffs, num, den) == (hr, hi)
 
 
 def test_direct_point_calls_hyp2f1_at_most_once_and_fdot_never(monkeypatch):
@@ -806,10 +824,10 @@ def test_mb_error_claim_holds_against_reruns():
 
 
 def test_mb_contour_lines_stay_short(monkeypatch):
-    # at 60 digits the pole-corrected rule runs at the step cap _QUAD_STEP, so
-    # omega(0.8) needs at most 110 nodes per line (an uncorrected rule, whose
-    # step the Gamma(-z) poles half a unit from the line cap, needs over 400)
-    mp.dps = 60
+    # with the poles within _POLE_BAND corrected, the step is 0.5 at 60 digits
+    # (the cap) and about 0.3 at 150, so omega(0.8) builds lines of 45 and 152
+    # nodes (an uncorrected rule, whose step the Gamma(-z) poles half a unit
+    # from the line cap, needs over 400 at 60 digits)
     nodes = []
 
     def counting_gamma_line(a0, h, K):
@@ -817,8 +835,34 @@ def test_mb_contour_lines_stay_short(monkeypatch):
         return _gamma_line(a0, h, K)
 
     monkeypatch.setattr(witten_zeta, "_gamma_line", counting_gamma_line)
-    omega_result(mpf("0.8"), method="mb")
-    assert nodes and max(nodes) <= 110, nodes
+    for dps, most in [(60, 50), (150, 160)]:
+        mp.dps = dps
+        nodes.clear()
+        omega_result(mpf("0.8"), method="mb")
+        assert nodes and max(nodes) <= most, (dps, nodes)
+
+
+def test_mb_value_holds_when_the_step_halves(monkeypatch):
+    # at 30 and 60 digits the step sits at its cap _QUAD_STEP; halving the
+    # cap must move no value by more than a hundredth of its claim (at most
+    # 2e-3 measured).  The points reach right of the overlap strip, far left
+    # and high up; seeded points, built at 30 digits, join them
+    with mp.workdps(30):
+        rng = random.Random(20221)
+        points = [mpf("12.3"), mpf(-5), mpc("-3.7", "0.2"), mpc("4.3", "20")]
+        points += [mpc(round(rng.uniform(-4, 8), 3), round(rng.uniform(-12, 12), 3)) for _ in range(2)]
+    for dps in (30, 60):
+        mp.dps = dps
+        coarse = [omega_result(s, method="mb") for s in points]
+        monkeypatch.setattr(witten_zeta, "_QUAD_STEP", witten_zeta._QUAD_STEP / 2)
+        fine = [omega_result(s, method="mb").value for s in points]
+        monkeypatch.undo()
+        for s, res, value in zip(points, coarse, fine):
+            moved = abs(res.value - value)
+            assert moved <= res.est_error / 100, (
+                f"s={s}, dps={dps}: halving the step moved the value by {mp.nstr(moved, 3)}, "
+                f"est_error {mp.nstr(res.est_error, 3)}"
+            )
 
 
 @pytest.mark.parametrize("x", ["0.8", "-1.3"])
