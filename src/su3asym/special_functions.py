@@ -12,9 +12,12 @@ rest of the package relies on:
 ``bernoulli_fraction`` returns B_n exactly (B_1 = -1/2 convention) from
 mpmath's ``bernfrac``; ``bernoulli_mpf`` rounds it to the working precision.
 
-The only special-function kernel of the package's own is the fixed-point
-Euler-Maclaurin zeta along a vertical line in :mod:`su3asym.witten_zeta`,
-which the contour quadrature needs at hundreds of nodes per line.
+The special-function kernels of the package's own live in
+:mod:`su3asym.witten_zeta`: the fixed-point Euler-Maclaurin zeta along a
+straight path, which gives every zeta value omega sums (hundreds of nodes per
+contour line), and the contour's Gamma(-z) line, derived from one kept line
+Gamma(1/2 + i k h) by a rising product.  omega calls ``zeta_complex``
+nowhere; the residues, the zeta identity and the saddle constants do.
 """
 
 from __future__ import annotations

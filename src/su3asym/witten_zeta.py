@@ -65,18 +65,25 @@ Two independent evaluation routes are provided and cross-checked:
 
   The nodes below the real axis are those above it at conj s, reflected:
   f(c - i k h; s) = conj f(c + i k h; conj s) (Schwarz), so a real s needs
-  one half-line.  No line of Gamma or zeta values is cached.  The finite
+  one half-line.  Gamma(s+z) is mpmath's, node by node.  Gamma(-z) comes
+  from one line Gamma(1/2 + i k h), kept per working precision and step
+  (the one cached line; see _neg_z_line), and a rising product.  The finite
   part's zeta(2s+k) and zeta(s-k) are two rows of the zeta kernel, the
-  second stepping left from s itself; only the first term's zeta(3s-1) is
-  mpmath's.
+  second stepping left from s itself, and the first term's zeta(3s-1) is
+  one node of it, so the route calls no pointwise zeta.
 
-Every other zeta value that omega sums comes from one fixed-point
-Euler-Maclaurin kernel, ``_zeta_line``.  It walks a straight path a0 + k d
-(vertical contour lines, d = i h; finite-part rows, d = +-1; the corner row,
-d = 2) from a start index a of its partial sum (zeta(x, a), DLMF 25.11), with
-power tables built from one exp(-x ln p) per prime.  Its depth follows
-Johansson's remainder bound (Numer. Algorithms 2015), which treats Hurwitz
-zeta alike.
+  The route refuses, pointing to the direct route, where its error claim
+  failed against that route at 30, 60 and 150 digits: it accepts
+  Re(s) <= 9, and real s up to Re(s) = 21.
+
+Every zeta value that omega sums comes from one fixed-point Euler-Maclaurin
+kernel, ``_zeta_line``.  It walks a straight path a0 + k d (vertical contour
+lines, d = i h; finite-part rows, d = +-1; the corner row, d = 2; a single
+node, d = 0) from a start index a of its partial sum (zeta(x, a), DLMF
+25.11), with power tables built from one exp(-x ln p) per prime, or exactly
+for an integer step, and its Bernoulli coefficients from one exact table per
+process.  Its depth follows Johansson's remainder bound (Numer. Algorithms
+2015), which treats Hurwitz zeta alike.
 
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
@@ -489,15 +496,16 @@ class _StripTail:
 #
 # omega needs zeta at many points of a few straight paths a0 + k d: the
 # trapezoid quadrature at hundreds of nodes of vertical lines (d = i h), the
-# finite part at 2s + k and s - k (rows, d = +1 and -1) and the direct route's
+# finite part at 2s + k and s - k (rows, d = +1 and -1) and at 3s - 1 (one
+# node, d = 0), and the direct route's
 # corner at the Hurwitz values zeta(3s + 2r - 1, P + 1) (a row with d = 2 whose
-# partial sum starts at n = P + 1).  Gamma is mpmath's, node by node.  zeta is
-# the package's own Euler-Maclaurin kernel, one path for every line and row at
-# any Re(a0), restructured in three ways that make a thousand-node contour
-# affordable at 30+ digits:
+# partial sum starts at n = P + 1).  zeta is the package's own Euler-Maclaurin
+# kernel, one path for every line and row at any Re(a0), restructured in three
+# ways that make a thousand-node contour affordable at 30+ digits:
 #
 # * the tables n^(-a0) and n^(-d) are built by complete multiplicativity: one
-#   exp(-x ln p) per prime p <= N, one fixed-point product per composite;
+#   exp(-x ln p) per prime p <= N, one fixed-point product per composite (an
+#   integer step's table is exact);
 # * the n^(-k d) factors of the partial sum advance multiplicatively from node
 #   to node instead of being re-exponentiated;
 # * the per-node work -- the power table and its partial sum and the
@@ -518,6 +526,8 @@ class _StripTail:
 # would amplify a fixed-point node's absolute rounding.
 
 _FIX_GUARD = 20
+# B_2r/(2r)! for r = 1, 2, ..., exact, grown on demand by _bernoulli_over_factorial
+_BERNOULLI = []
 
 
 def _fix(x, W):
@@ -538,7 +548,11 @@ def _unfix(re, im, W):
 
 def _power_tables(xs, N, W):
     """For each x of xs the fixed-point table [n^(-x) for n = 1..N] as two
-    lists (real parts, imaginary parts), entry n - 1 for n, by complete
+    lists (real parts, imaginary parts), entry n - 1 for n.
+
+    An integer x (the steps d = 0, +-1, 2 of the kernel's rows and single
+    nodes) takes each entry as the exact rational n^(-x) rounded once, so
+    within half a unit of 2^-W.  Any other x goes by complete
     multiplicativity: n^(-x) = exp(-x ln n) at a prime n, evaluated to
     relative 2^-(W+8) and rounded, and p^(-x) (n/p)^(-x), rounded, at a
     composite n with least prime factor p.  Each rounding moves an entry by
@@ -547,6 +561,12 @@ def _power_tables(xs, N, W):
     >= 1 for every p), so an entry is within sqrt(2) Omega(n) units of
     2^-W max(1, |n^(-x)|) of n^(-x), Omega(n) the number of prime factors of
     n with multiplicity."""
+    def exact(q):
+        if q < 0:
+            return [n**-q << W for n in range(1, N + 1)], [0] * N
+        return [((1 << W + 1) + n**q) // (2 * n**q) for n in range(1, N + 1)], [0] * N
+
+    stepped = [x for x in xs if not mp.isint(x)]
     spf = list(range(N + 1))  # least prime factor
     for p in range(2, math.isqrt(N) + 1):
         if spf[p] == p:
@@ -554,15 +574,15 @@ def _power_tables(xs, N, W):
                 if spf[m] == m:
                     spf[m] = p
     # the exponent -x ln n carries |x| ln N in front of its rounding
-    cond = int(max(abs(x) for x in xs) * math.log(N)) + 1
+    cond = int(max((abs(x) for x in stepped), default=0) * math.log(N)) + 1
     half = 1 << (W - 1)
-    tables = [([1 << W], [0]) for _ in xs]
+    tables = [([1 << W], [0]) for _ in stepped]
     with mp.workprec(W + 8 + cond.bit_length()):
         for n in range(2, N + 1):
             p = spf[n]
             if p == n:
                 ln_n = mp.ln(n)
-                for (re, im), x in zip(tables, xs):
+                for (re, im), x in zip(tables, stepped):
                     r, i = _fix(mp.exp(-x * ln_n), W)
                     re.append(r)
                     im.append(i)
@@ -571,7 +591,16 @@ def _power_tables(xs, N, W):
                     a, b, c, e = re[p - 1], im[p - 1], re[n // p - 1], im[n // p - 1]
                     re.append((a * c - b * e + half) >> W)
                     im.append((a * e + b * c + half) >> W)
-    return tables
+    tables = iter(tables)
+    return [exact(int(mp.re(x))) if mp.isint(x) else next(tables) for x in xs]
+
+
+def _bernoulli_over_factorial(depth):
+    """[B_2r/(2r)! for r = 1..depth] as Fractions, from the one table that
+    every zeta line of the process shares."""
+    for r in range(len(_BERNOULLI) + 1, depth + 1):
+        _BERNOULLI.append(bernoulli_fraction(2 * r) / math.factorial(2 * r))
+    return _BERNOULLI[:depth]
 
 
 def _em_plan(a0, d, K, a=1):
@@ -612,6 +641,49 @@ def _gamma_line(a0, h, K):
     return [mp.gamma(a0 + k * step) for k in range(K + 1)]
 
 
+# Gamma(1/2 + i k h), k = 0..K, for one key (working precision in bits, h)
+_HALF_GAMMA = {}
+
+
+def _neg_z_line(M, h, K):
+    """[Gamma(1/2 - M - i k h) for k = 0..K], the factor Gamma(-z) on the
+    contour z = M - 1/2 + i k h, from the line Gamma(1/2 + i k h):
+
+        Gamma(1/2 - M - i t) = (-1)^M conj Gamma(1/2 + i t) / (1/2 + i t)_M,
+
+    the reflection formula (DLMF 5.5.3) at 1/2 + M + i t, where
+    sin(pi (1/2 + M + i t)) = (-1)^M cosh(pi t), with
+    Gamma(1/2 + M + i t) = (1/2 + i t)_M Gamma(1/2 + i t) and
+    |Gamma(1/2 + i t)|^2 = pi / cosh(pi t).  That line depends on neither s
+    nor M, so one line per (working precision, h) serves every evaluation:
+    it is kept in _HALF_GAMMA, extended node by node when a longer K is
+    asked for and replaced when the key changes, so the cache holds one
+    entry.  Its node k is the same mp.gamma call whenever it is made, so a
+    value does not depend on the call history.  The rising product runs in
+    fixed point at 2^-W, W = prec + _FIX_GUARD: its partial products have
+    modulus >= 1/2, so its M truncated steps stay within relative M 2^(2-W)
+    of it."""
+    key = (mp.prec, h)
+    if key not in _HALF_GAMMA:
+        _HALF_GAMMA.clear()
+        _HALF_GAMMA[key] = []
+    line = _HALF_GAMMA[key]
+    half = mpf(1) / 2
+    line.extend(mp.gamma(mpc(half, k * h)) for k in range(len(line), K + 1))
+    W = mp.prec + _FIX_GUARD
+    step, _ = _fix(h, W)
+    sign = -1 if M % 2 else 1
+    out = []
+    for k in range(K + 1):
+        t = k * step
+        pr, pi = 1 << W, 0  # (1/2 + i k h)_M
+        for j in range(M):
+            a = (2 * j + 1) << (W - 1)
+            pr, pi = (pr * a - pi * t) >> W, (pr * t + pi * a) >> W
+        out.append(sign * mp.conj(line[k]) / _unfix(pr, pi, W))
+    return out
+
+
 def _zeta_line(a0, d, K, a=1):
     """[zeta(a0 + k d, a) for k = 0..K], zeta(x, a) = sum_{n>=a} n^(-x) the
     Hurwitz zeta function at a positive integer a (DLMF 25.11; a = 1 is
@@ -641,10 +713,7 @@ def _zeta_line(a0, d, K, a=1):
     (tre, tim), (sre, sim) = _power_tables([a0, d], N, W)
     tre, tim, sre, sim = tre[a - 1 :], tim[a - 1 :], sre[a - 1 :], sim[a - 1 :]
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
-    coef = []
-    for r in range(1, depth + 1):
-        b = bernoulli_fraction(2 * r)
-        coef.append((b.numerator << 2 * W) // (b.denominator * math.factorial(2 * r)))
+    coef = [(b.numerator << 2 * W) // b.denominator for b in _bernoulli_over_factorial(depth)]
     nn_scale = (N * N) << W
     ar, ai = _fix(a0, W)
     step_r, step_i = _fix(d, W)
@@ -749,7 +818,7 @@ def _mb_integral(s, M: int, digit_target: int):
     target_abs = mpf(10) ** (-(digit_target + 5))
     for _ in range(4):
         K = int(t_max / float(h)) + 1
-        neg_z = _gamma_line(mpf(1) / 2 - M, -h, K)  # Gamma(-z) on the line
+        neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
         upper = _half_line(s, c, h, K, neg_z)
         # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)
         lower = upper if real_s else _half_line(mp.conj(s), c, h, K, neg_z)
@@ -765,7 +834,22 @@ def _mb_integral(s, M: int, digit_target: int):
     return value, est, h
 
 
+def _mb_allowed(s) -> bool:
+    """Whether s lies where the continuation's error claim held against the
+    direct route at 30, 60 and 150 digits: Re(s) <= 9 anywhere, and real s
+    up to Re(s) = 21 (at most 0.41 of the claim off).  Off the real axis the
+    claim fails from Re(s) = 10 on, at 16.3 + 40i by 5e4 times at 60
+    digits; on it, at 30.3."""
+    sigma = mp.re(s)
+    return sigma <= 9 or (mp.im(s) == 0 and sigma <= 21)
+
+
 def _continued_result(s0, M: int | None) -> OmegaResult:
+    if not _mb_allowed(s0):
+        raise ValueError(
+            f"s = {mp.nstr(s0, 8)} is outside the continuation's domain (Re(s) <= 9, "
+            "or real s with Re(s) <= 21), where its error claim fails; use method=\"direct\""
+        )
     prec = working_digits()
     # removable singularities: every integer s collides with a pole of some
     # factor of the formula (Gamma(1-s) and zeta(s-k) at positive integers;
@@ -796,21 +880,22 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
         s_ev = s0 + eps if eps else s0  # the input's bits, even below its precision
         # each term takes on its poles' weights; only z = k >= M lie right of c
         c = M - mpf(1) / 2
+        # zeta(2s + k) and zeta(s - k), k < M + _POLE_BAND: one row each, the
+        # second stepping left from s itself; zeta(3s - 1) a single node
+        n_terms = M + _POLE_BAND
+        with mp.workdps(finite_dps + 2):
+            zeta_a = _zeta_line(2 * s_ev, 1, n_terms - 1)
+            zeta_b = _zeta_line(s_ev, -1, n_terms - 1)
+            (zeta_3s,) = _zeta_line(3 * s_ev - 1, 0, 0)
         gamma_s = gamma_complex(s_ev)
         # 2s - 1 and 1 - s exactly: near an integer s they lie within |s - n|
         # of a pole of Gamma, which would amplify their rounding
         first = (
             gamma_complex(mp.fsub(2 * s_ev, 1, exact=True))
             * gamma_complex(mp.fsub(1, s_ev, exact=True))
-            * zeta_complex(3 * s_ev - 1)
+            * zeta_3s
             / gamma_s
         ) * (1 - _pole_weight(1 - 2 * s_ev, c, h) + _pole_weight(s_ev - 1, c, h))
-        # zeta(2s + k) and zeta(s - k), k < M + _POLE_BAND: one row each, the
-        # second stepping left from s itself
-        n_terms = M + _POLE_BAND
-        with mp.workdps(finite_dps + 2):
-            zeta_a = _zeta_line(2 * s_ev, 1, n_terms - 1)
-            zeta_b = _zeta_line(s_ev, -1, n_terms - 1)
         finite_sum = mpf(0)
         coeff = mpf(1)  # (-1)^k (s)_k / k!
         for k in range(n_terms):

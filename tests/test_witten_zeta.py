@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc
 
-from su3asym.special_functions import gamma_complex, zeta_complex
+from su3asym.special_functions import bernoulli_fraction, gamma_complex, zeta_complex
 from su3asym.witten_zeta import (
     WittenZetaPoleError,
     omega,
@@ -24,10 +25,12 @@ from su3asym.witten_zeta import (
     _EM_DEPTH,
     _StripTail,
     _auto_M,
+    _bernoulli_over_factorial,
     _em_plan,
     _g2,
     _gamma_line,
     _horner,
+    _neg_z_line,
     _pole_weight,
     _power_tables,
     _unfix,
@@ -267,20 +270,23 @@ def test_mb_finite_part_runs_at_its_error_budget(monkeypatch, s, bump):
 
 
 @pytest.mark.parametrize("s", [mpf("0.8"), mpc("0.3", "1.4"), mpf(-2), mpf(0)])
-def test_mb_point_calls_pointwise_zeta_once(monkeypatch, s):
-    # every zeta value of the finite part but the first term's zeta(3s - 1)
-    # comes from the kernel's rows
+def test_mb_point_calls_no_pointwise_zeta(monkeypatch, s):
+    # every zeta value of the route, the first term's zeta(3s - 1) included,
+    # comes from the kernel's lines and rows
     mp.dps = 60
     args = []
 
-    def recording(x):
-        args.append(x)
-        return zeta_complex(x)
+    def recording(f):
+        def wrapped(x, *rest, **kw):
+            args.append(x)
+            return f(x, *rest, **kw)
 
-    monkeypatch.setattr(witten_zeta, "zeta_complex", recording)
-    res = omega_result(s, method="mb")
-    assert len(args) == 1, args
-    assert abs(args[0] - (3 * res.s_evaluated - 1)) < mpf(10) ** -40
+        return wrapped
+
+    monkeypatch.setattr(witten_zeta, "zeta_complex", recording(zeta_complex))
+    monkeypatch.setattr(mp, "zeta", recording(mp.zeta))
+    omega_result(s, method="mb")
+    assert args == [], args
 
 
 @pytest.mark.parametrize(
@@ -629,6 +635,28 @@ def test_mb_agrees_with_direct_right_of_the_overlap_strip(dps):
         )
 
 
+@pytest.mark.parametrize(
+    "s",
+    [mpc("10.3", "5"), mpc("12.3", "10"), mpc("16.3", "40"), mpc("20.3", "1"), mpf("21.3"), mpf("30.3")],
+    ids=["10.3+5i", "12.3+10i", "16.3+40i", "20.3+i", "21.3", "30.3"],
+)
+def test_mb_refuses_points_where_its_claim_fails(s):
+    # against the direct route at 60 digits mb was 1.9, 2.6, 5e4 and 2.5
+    # times off its claim at the complex points, and 3.8 at 30.3
+    mp.dps = 60
+    with pytest.raises(ValueError, match='method="direct"'):
+        omega_result(s, method="mb")
+
+
+def test_mb_keeps_the_overlap_strip_and_the_real_axis_to_21():
+    # the overlap strip Re s in [1.1, 2], |Im s| <= 5, where criterion 3
+    # compares the routes, Re s <= 9 off the axis, and the real points up to 21
+    mp.dps = 30
+    points = [mpc("1.1", "5"), mpc("1.1", "-5"), mpc(2, 5), mpc(2, -5), mpf("1.1"), mpc("9", "5")]
+    for s in points + [mpf("6.3"), mpf("12.3"), mpf("20.3"), mpf("20.9")]:
+        assert omega_result(s, method="mb").method == "mb"
+
+
 def test_far_left_row_of_the_finite_part_meets_its_bound(monkeypatch):
     # omega(-5) takes M = 14, so its row zeta(s - k) reaches Re = -21, further
     # left than any default contour line
@@ -713,7 +741,7 @@ def test_power_table_matches_per_entry_powers(sigma, t, N, W):
         (mpc("3.1", "-2.0"), mpf("0.0511")),
         (mpc("-2.5", "0.3"), mpf("0.0511")),
         (mpc("5.5", "0"), mpf("0.0511")),
-        # Gamma(-z) on the contour z = (M - 1/2) + i k h, for M even and odd
+        # lines between the poles on the negative axis, a half-integer apart
         (mpf(1) / 2 - 2, mpf("-0.0511")),
         (mpf(1) / 2 - 5, mpf("-0.0511")),
     ],
@@ -729,6 +757,86 @@ def test_gamma_line_matches_pointwise(dps, a0, h):
             want = gamma_complex(w)
         rel = abs(values[k] - want) / abs(want)
         assert rel < mpf(10) ** (3 - dps), f"dps={dps} node {k}: relative error {mp.nstr(rel, 3)}"
+
+
+def _assert_gamma_pointwise(values, M, h, nodes):
+    """values[k] against Gamma(1/2 - M - i k h) at 10 more digits."""
+    dps = mp.dps
+    for k in nodes:
+        with mp.workdps(dps + 10):
+            want = mp.gamma(mpf(1) / 2 - M - mpc(0, k * h))
+        rel = abs(values[k] - want) / abs(want)
+        assert rel < mpf(10) ** (3 - dps), f"dps={dps} M={M} node {k}: relative error {mp.nstr(rel, 3)}"
+
+
+@pytest.mark.parametrize("dps, h", [(30, "0.5"), (60, "0.5"), (60, "0.3711"), (150, "0.2956")])
+@pytest.mark.parametrize("M", [2, 5, 10, 17])
+def test_neg_z_line_matches_pointwise(dps, h, M):
+    # Gamma(-z) on the contour z = M - 1/2 + i k h, derived from the kept line
+    # Gamma(1/2 + i k h) and the rising product (1/2 + i k h)_M
+    mp.dps = dps
+    witten_zeta._HALF_GAMMA.clear()
+    _assert_gamma_pointwise(_neg_z_line(M, mpf(h), 120), M, mpf(h), (0, 1, 37, 120))
+
+
+def test_neg_z_line_extends_the_kept_line_and_keeps_one_entry():
+    mp.dps = 60
+    h = mpf("0.5")
+    witten_zeta._HALF_GAMMA.clear()
+    short = _neg_z_line(5, h, 20)
+    longer = _neg_z_line(10, h, 90)  # a later call at another M needs a longer line
+    ((key, line),) = witten_zeta._HALF_GAMMA.items()
+    assert key == (mp.prec, h) and len(line) == 91
+    _assert_gamma_pointwise(longer, 10, h, (0, 20, 21, 90))
+    # the extended line is the line built in one go, bit for bit
+    witten_zeta._HALF_GAMMA.clear()
+    assert _neg_z_line(10, h, 90) == longer
+    assert _neg_z_line(5, h, 20) == short
+    # a precision switch replaces the entry
+    mp.dps = 150
+    h = mpf("0.2956")
+    values = _neg_z_line(17, h, 40)
+    assert list(witten_zeta._HALF_GAMMA) == [(mp.prec, h)]
+    _assert_gamma_pointwise(values, 17, h, (0, 40))
+
+
+def test_mb_values_do_not_depend_on_call_history():
+    # the kept Gamma line is the one piece of state an mb evaluation reads;
+    # whether it was emptied, replaced at another precision or extended by
+    # a longer line at another M, every value and claim keeps its bits
+    points = [mpf("0.8"), mpf(-2), mpc("0.3", "2")]
+
+    def run():
+        mp.dps = 60
+        return [(r.value, r.est_error) for r in (omega_result(s, method="mb") for s in points)]
+
+    witten_zeta._HALF_GAMMA.clear()
+    fresh = run()
+    mp.dps = 100
+    omega_result(mpf("0.8"), method="mb")
+    assert run() == fresh
+    mp.dps = 60
+    omega_result(mpc("0.3", "30"), method="mb")
+    omega_result(mpf("0.8"), method="mb", M=5)
+    omega_result(mpc("0.3", "2"), method="mb", M=9)
+    assert run() == fresh
+
+
+@pytest.mark.parametrize("N, W", [(2, 60), (97, 130), (300, 257)])
+def test_power_tables_of_integer_steps_are_exact(N, W):
+    # integer steps, as ints and as the kernel's mpf and mpc, are the exact
+    # rationals 2^W n^(-d), each rounded once
+    steps = [0, 1, -1, 2, mpf(2), mpc(-1, 0)]
+    for d, (re, im) in zip(steps, _power_tables(steps, N, W)):
+        d = int(mp.re(d))
+        assert im == [0] * N
+        for n in range(1, N + 1):
+            assert abs(re[n - 1] - Fraction(2**W) / Fraction(n) ** d) <= Fraction(1, 2), (d, n)
+
+
+def test_bernoulli_table_is_exact():
+    table = _bernoulli_over_factorial(60)
+    assert table == [bernoulli_fraction(2 * r) / math.factorial(2 * r) for r in range(1, 61)]
 
 
 @pytest.mark.parametrize("s", [mpc("1.25", "3.7"), mpc("1.9", "-4.4"), mpc("1.55", "0.6")])
