@@ -10,7 +10,7 @@ rest of the package relies on:
   with zero imaginary part) gives ``mpf``, complex input gives ``mpc``.
 
 ``bernoulli_fraction`` returns B_n exactly (B_1 = -1/2 convention) from
-mpmath's ``bernfrac``; ``bernoulli_mpf`` rounds it to the working precision.
+mpmath's ``bernfrac``.
 
 The special-function kernels of the package's own live in
 :mod:`su3asym.witten_zeta`: the fixed-point Euler-Maclaurin zeta along a
@@ -28,7 +28,6 @@ from mpmath import mp, mpc, mpf
 
 __all__ = [
     "bernoulli_fraction",
-    "bernoulli_mpf",
     "gamma_complex",
     "zeta_complex",
     "GammaPoleError",
@@ -49,12 +48,6 @@ def bernoulli_fraction(n: int) -> Fraction:
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     return Fraction(*mp.bernfrac(n))
-
-
-def bernoulli_mpf(n: int) -> mpf:
-    """B_n rounded to the current working precision."""
-    b = bernoulli_fraction(n)
-    return mpf(b.numerator) / mpf(b.denominator)
 
 
 def _to_mp(s):

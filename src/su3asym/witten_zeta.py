@@ -11,16 +11,19 @@ Two independent evaluation routes are provided and cross-checked:
 
 * the direct route (``method="direct"``) -- the lattice sum over the block
   j, k <= P, with the two edge strips {j <= P < k} accelerated by
-  Euler-Maclaurin corrections in k.  The tail integrals reduce to the
-  incomplete-beta-type function G2(a; s, w) = integral over t in [a, oo) of
-  t^(-s) (1+t)^(-w) dt.  On the strips (w = s, a = K/j >= 2) they are one
-  binomial series, G2(1/x; s, s) = x^(2s-1) sum_m binom(-s, m) x^m/(2s-1+m),
-  whose coefficient table all rows share; in the corner (a = 1) the Euler
-  integral makes it one Gauss hypergeometric function,
-  G2(1; s, s) = 2F1(s, 2s-1; 2s; -1) / (2s - 1) (mpmath's hyp2f1).  The
-  corner {j, k > P} is the diagonal plus twice the triangle P < j < k;
-  Euler-Maclaurin from k = j makes each row a finite sum of powers of j, so
-  the corner is a list of Hurwitz zeta values zeta(x, P+1) (DLMF 25.11):
+  Euler-Maclaurin corrections in k.  The tail integrals reduce to
+  G2(a; s, s) = integral over t in [a, oo) of t^(-s) (1+t)^(-s) dt, which
+  the Euler integral (DLMF 15.6.1) and Pfaff's transformation (DLMF 15.8.1)
+  make one series at every a = 1/x:
+
+      G2(1/x; s, s) = x^(2s-1) (1+x)^(-s) F(x/(1+x)) / (2s - 1),
+      F(y) = 2F1(s, 1; 2s; y) = sum_m (s)_m/(2s)_m y^m,
+
+  whose coefficients never grow, so one fixed-point table of them serves the
+  strip rows (y <= 1/3) and the corner (y = 1/2).  The corner {j, k > P} is
+  the diagonal plus twice the triangle P < j < k; Euler-Maclaurin from
+  k = j makes each row a finite sum of powers of j, so the corner is a list
+  of Hurwitz zeta values zeta(x, P+1) (DLMF 25.11):
 
       corner = 2 G2(1; s, s) zeta(3s-1, P+1)
                - 2^(1-s) sum_{r=1}^{R} (B_2r/(2r)) d_(2r-1) zeta(3s+2r-1, P+1),
@@ -28,8 +31,10 @@ Two independent evaluation routes are provided and cross-checked:
   d_q the Taylor coefficients of (1+u)^(-s) (1+u/2)^(-s); the double series
   is the SU(3) Witten zeta of Romik (Acta Arith. 2017).  The R + 2 Hurwitz
   values are one row of the package's zeta kernel (below).  Valid for
-  Re(s) >= 1.1; a point whose strip series would need more than
-  _TAIL_TERMS_MAX terms (|s| beyond about 5000) is refused before any work.
+  Re(s) >= 1.1, where |omega(s)| <= omega(1.1) < 1.7; a point whose rows'
+  first omitted Euler-Maclaurin terms reach 1, a claim that leaves no digit
+  (from about 1.5 + 805i up), or with |Im s| beyond about 5000 (the corner's
+  cutoff _DIRECT_CUTOFF_MAX) is refused before any table is built.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -104,17 +109,16 @@ that, so that the kernel's target 10^-(digits - 10) stays under the finite
 part's rounding allowance.  Near an integer the arguments 2s - 1 and 1 - s of
 Gamma are formed exactly.  The direct route runs at
 max(30, dps/2 + 18) + 10 + 2 log10(|s| + 2) digits; its block, edge strips,
-correction polynomials and strip series run in fixed point with 30 guard
+correction polynomials and tail series run in fixed point with 30 guard
 bits over that precision (more where the corrections grow with |s|), whose
 rounding stays far inside its allowance of 10^4 units in the last place per
-row; its corner row runs 10 digits above the working
-precision raised by its coefficients' size, which keeps the kernel's target,
-so weighted, far below the rounding allowance.
+row; its corner row runs 10 digits above the working precision raised by its
+coefficients' size, which keeps the kernel's target, so weighted, far below
+the rounding allowance.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from operator import add, mul
@@ -126,7 +130,6 @@ from .series import PowerSeries
 from .special_functions import (
     _to_mp,
     bernoulli_fraction,
-    bernoulli_mpf,
     gamma_complex,
     zeta_complex,
 )
@@ -152,10 +155,9 @@ class WittenZetaPoleError(ZeroDivisionError):
 # ``method="auto"`` switches from the continuation to it.
 _DIRECT_P = 128
 _DIRECT_R = 12
-# Direct route: fixed-point guard bits of its rows, and the most terms its
-# strip-tail series may take before the route refuses the point.
+# Direct route: fixed-point guard bits of its rows; the most terms of its corner's zeta row.
 _DIRECT_GUARD = 30
-_TAIL_TERMS_MAX = 10000
+_DIRECT_CUTOFF_MAX = 5000
 # Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
 # zeta line; higher precisions and lines far left take more (see _zeta_line).
 _EM_DEPTH = 13
@@ -204,16 +206,6 @@ def _pole_guard(s) -> None:
         )
 
 
-# -- the tail integral G2(a; s, w) ------------------------------------------------
-
-
-def _g2(s, w, x):
-    """G2(1/x; s, w) = int_0^x u^(e-1) (1+u)^(-w) du = x^e 2F1(w, e; e+1; -x) / e,
-    e = s + w - 1 (the Euler integral, DLMF 15.6.1)."""
-    e = s + w - 1
-    return mp.exp(e * mp.ln(x)) * mp.hyp2f1(w, e, e + 1, -x) / e
-
-
 # -- direct evaluation -----------------------------------------------------------
 
 
@@ -248,34 +240,36 @@ def _direct_eval(s):
     two symmetric edge strips {j <= P < k}), each summed exactly to
     k = K_j = max(P, 2j) and closed by an Euler-Maclaurin tail in k, and the
     corner {j, k > P}, whose rows' Euler-Maclaurin forms sum to Hurwitz zeta
-    values.  The rows run in fixed point at W = prec + _DIRECT_GUARD bits,
-    plus the bits of the correction polynomials' largest value: the table
-    n^(-s), n <= 3P, from _power_tables (one exp(-s ln p) per prime); each
-    row's block sum as integer dot products; its correction polynomials by
-    Horner with integer floor division; its tail integral K^(1-2s) S(j/K)
-    from the one series of _StripTail.
+    values.  The module docstring's refusals come first, at 64 bits.  The
+    rows run in fixed point at W = prec + _DIRECT_GUARD bits, plus the bits of
+    the correction polynomials' largest value: the table n^(-s), n <= 3P, from
+    _power_tables (one exp(-s ln p) per prime); each row's block sum as
+    integer dot products; its correction polynomials by Horner with integer
+    floor division; its tail integral K base T(j/(j+K)),
+    base = K^(-s) (j+K)^(-s), by Horner over the one table of _pfaff_table.
 
     Rounding, in units u = 2^-(prec + _DIRECT_GUARD), W >= prec +
     _DIRECT_GUARD: an entry n^(-s) is at most 1 in modulus (Re s > 0) and
     within sqrt(2) Omega(n) <= 12 u of its value, so a product of two is
     within 24 u and a block row of at most P of them within 24 P u; a
     correction is within 3 units of 2^-W and multiplies a base term's 24
-    units of 2^-W by at most 2^(W - prec - _DIRECT_GUARD); K^(1-2s) and
-    S(j/K), truncation included, are within 24 u and 3 u, and |S| < 1.  A
-    row therefore carries about 50 P + 200 u, and the P rows under 2^21 u,
-    2^-9 units in the last place of the working precision: far inside the
-    allowance tol (P + 4) = 10^4 (P + 4) such units.  The corner is formed
-    in floating point, each of its terms rounded once, and the allowance
-    covers it as before.
+    units of 2^-W by at most 2^(W - prec - _DIRECT_GUARD); base is within
+    (24 K^(-sigma) + 2) u and T(j/(j+K)) under 2 and within 12 u (see
+    _pfaff_table), so the tail integral, K times the rounded base T, is within
+    (48 K^(1-sigma) + 5 K) u <= 1400 u.  A row therefore carries about
+    50 P + 2900 u, and the P rows under 2^21 u, 2^-9 units in the last place
+    of the working precision: far inside the allowance tol (P + 4) =
+    10^4 (P + 4) such units.  The corner is formed in floating point, each of
+    its terms rounded once, and the allowance covers it as before.
     """
     P = _DIRECT_P
     R = _DIRECT_R
     if mp.im(s) == 0:
         s = mp.re(s)  # real arithmetic throughout
     tol = mpf(10) ** (-(mp.dps - 4))  # rounding allowance per summed piece
-    n_ord = 2 * R + 2
-    bern_over = [None] + [bernoulli_mpf(2 * r) / (2 * r) for r in range(1, R + 1)]
-    bern_next = abs(bernoulli_mpf(2 * R + 2) / (2 * R + 2))
+    # B_2r/(2r) = (2r - 1)! B_2r/(2r)!, r = 1..R+1, from the zeta kernel's table
+    bern = enumerate(_bernoulli_over_factorial(R + 1), 1)
+    *bern_over, bern_next = [None] + [_to_mp(b * math.factorial(2 * r - 1)) for r, b in bern]
 
     # rows j <= P of the block and the edge strips (j <-> k symmetry: the
     # diagonal plus twice k > j): each row sums j < k <= K_j = max(P, 2j)
@@ -290,22 +284,45 @@ def _direct_eval(s):
     # gamma_q's is (1 + u/2)(1 + u/3) = 1 + 5u/6 + u^2/6.
 
     def taylor(c1, c2=0):
-        """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(n_ord - 1)."""
-        return PowerSeries([mpf(1), c1, c2] + [0] * (n_ord - 3)).pow_real(-s).coeffs
+        """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(2R+1)."""
+        return PowerSeries([mpf(1), c1, c2] + [0] * (2 * R - 1)).pow_real(-s).coeffs
 
-    tail = _StripTail(s, mp.prec + _DIRECT_GUARD)  # refuses before any other work
     beta = taylor(mpf(1))
     at_P = taylor(1 / mpf(P))
-    # sum_r B_2r/(2r) c_(2r-1) and c_(2R+1) as polynomials in y (rows 2j < P)
+    # gamma_(2r-1) for r = 1..R+1 (rows 2j >= P)
+    gamma_odd = taylor(mpf(5) / 6, mpf(1) / 6)[1::2]
+    # refusals priced before any table is built: the rows' first omitted
+    # Euler-Maclaurin terms B_(2R+2)/(2R+2) c_(2R+1) |pj base| leave no digit
+    # from 1 on, as |omega(s)| <= omega(1.1) < 1.7; they fall like
+    # (P (P+1))^(-sigma), so the cutoff N of the corner's zeta row, about
+    # |Im s|, is capped too.  On the rows 2j < P, c_(2R+1) is a polynomial in y
+    V = mp.prec + _DIRECT_GUARD
+    ly = [_fix(beta[m] * at_P[2 * R + 1 - m], V) for m in range(2 * R + 2)]
+    with mp.workprec(64):
+        sigma = +mp.re(s)
+        last = [abs(_unfix(*_horner(ly, 1, j + P), V)) for j in range(1, (P + 1) // 2)]
+        last += [abs(gamma_odd[R]) / j ** (2 * R + 1) for j in range((P + 1) // 2, P + 1)]
+        est = 2 * abs(bern_next) * mp.fsum(
+            c * mpf(j * max(P, 2 * j) * (j + max(P, 2 * j))) ** -sigma for j, c in enumerate(last, 1)
+        )
+    if est >= 1:
+        raise ValueError(
+            f"the direct route's truncation estimate at s = {mp.nstr(s, 8)} is {mp.nstr(est, 3)}, "
+            "while |omega(s)| <= omega(1.1) < 1.7 for Re(s) >= 1.1: the value would carry no digit"
+        )
+    N = _em_plan(3 * s - 1, 2, R + 1, P + 1)[0]
+    if N > _DIRECT_CUTOFF_MAX:
+        raise ValueError(
+            f"the direct route's corner zeta row at s = {mp.nstr(s, 8)} would need a "
+            f"cutoff of {N} terms, more than {_DIRECT_CUTOFF_MAX}"
+        )
+    # sum_r B_2r/(2r) c_(2r-1) as a polynomial in y (rows 2j < P)
     corr_y = [
         beta[m] * sum(
             bern_over[(i + m + 1) // 2] * at_P[i] for i in range((m + 1) % 2, 2 * R - m, 2)
         )
         for m in range(2 * R)
     ]
-    last_y = [beta[m] * at_P[2 * R + 1 - m] for m in range(2 * R + 2)]
-    # gamma_(2r-1) for r = 1..R+1 (rows 2j >= P)
-    gamma_odd = taylor(mpf(5) / 6, mpf(1) / 6)[1::2]
     corr_j = [bern_over[r] * gamma_odd[r - 1] for r in range(1, R + 1)]
     # a correction multiplies the absolute rounding of its row's base term:
     # W carries the bits of the largest (y <= 1/(P+1), 1/j <= 2/P)
@@ -313,22 +330,18 @@ def _direct_eval(s):
         sum(abs(c) / mpf(P + 1) ** m for m, c in enumerate(corr_y)),
         sum(abs(c) * (mpf(2) / P) ** (2 * r + 1) for r, c in enumerate(corr_j)),
     )
-    W = tail.W + max(0, int(mp.log(big, 2)) + 1)
+    W = V + max(0, int(mp.log(big, 2)) + 1)
     ((re, im),) = _power_tables([s], 3 * P, W)
     pw = [None] + list(zip(re, im))  # pw[n] = n^(-s), scale 2^W
     fy = [_fix(c, W) for c in corr_y]
-    ly = [_fix(c, W) for c in last_y]
     fj = [_fix(c, W) for c in corr_j]
-    g_last = _fix(gamma_odd[R], W)
-    s_half = tail.at(1, 2)  # S(1/2), shared by the rows 2j >= P
+    pfaff = _pfaff_table(s, W + 4, W)  # the terms that T(1/2) takes
+    t_third = _pfaff_value(pfaff, 1, 3, W)  # shared by the rows 2j >= P
     # the block sums in Gauss's three products: (a + ib)(c + id) has real part
     # ac - bd and imaginary part (a + b)(c + d) - ac - bd
     sums = list(map(add, re, im))
     re, im, sums = [0] + re, [0] + im, [0] + sums
     acc_r = acc_i = 0  # scale 2^(3W)
-    with mp.workprec(64):
-        sigma = +mp.re(s)
-    est_terms = []
     for j in range(1, P + 1):
         K = max(P, 2 * j)
         lo, hi, lo2, hi2 = j + 1, K + 1, 2 * j + 1, j + K + 1
@@ -339,31 +352,22 @@ def _direct_eval(s):
         base = _cmul(pw[K], pw[j + K], W)
         if 2 * j < P:
             corr = _horner(fy, 1, j + P)
-            last = _horner(ly, 1, j + P)
-            S = tail.at(j, P)
+            T = _pfaff_value(pfaff, j, j + P, W)
         else:
             cr, ci = _horner(fj, 1, j * j)
             corr = cr // j, ci // j
-            last = g_last[0] // j ** (2 * R + 1), g_last[1] // j ** (2 * R + 1)
-            S = s_half
-        kr, ki = pw[K]  # the tail integral K^(1-2s) S(j/K)
-        integral = _cmul(((K * (kr * kr - ki * ki)) >> W, (2 * K * kr * ki) >> W), S, tail.W)
-        # pj (2 row + pj pw[2j] + 2 integral - base - 2 base corr), at 2^(3W)
+            T = t_third
+        tb = _cmul(base, T, W)  # the tail integral is K base T(j/(j+K))
+        # pj (2 row + pj pw[2j] + 2 K tb - base - 2 base corr), at 2^(3W)
         bc = _cmul(base, corr, 0)
         dg = _cmul(pj, pw[2 * j], 0)
-        br = 2 * row_r + dg[0] + ((2 * integral[0] - base[0]) << W) - 2 * bc[0]
-        bi = 2 * row_i + dg[1] + ((2 * integral[1] - base[1]) << W) - 2 * bc[1]
+        br = 2 * row_r + dg[0] + ((2 * K * tb[0] - base[0]) << W) - 2 * bc[0]
+        bi = 2 * row_i + dg[1] + ((2 * K * tb[1] - base[1]) << W) - 2 * bc[1]
         acc_r += pj[0] * br - pj[1] * bi
         acc_i += pj[0] * bi + pj[1] * br
-        # |pj base| = (j K (j+K))^(-sigma), free of the table's absolute
-        # rounding, which would swamp a tiny pj base
-        with mp.workprec(64):
-            size = mp.ldexp(mp.sqrt(last[0] ** 2 + last[1] ** 2), -W)
-            est_terms.append(size * mpf(j * K * (j + K)) ** -sigma)
     acc = mp.ldexp(acc_r, -3 * W)
     if mp.im(s) != 0:
         acc = mpc(acc, mp.ldexp(acc_i, -3 * W))
-    est = 2 * bern_next * mp.fsum(est_terms)  # the first omitted Euler-Maclaurin terms
 
     # corner j, k > P: the diagonal 2^(-s) zeta(3s, P+1) plus twice the
     # triangle P < j < k.  Row j of the triangle is Euler-Maclaurin from k = j
@@ -376,7 +380,9 @@ def _direct_eval(s):
     # (DLMF 25.11), and the diagonal cancels the f_j(j)/2 terms.
     d_odd = taylor(mpf(3) / 2, mpf(1) / 2)[1::2]
     two_1ms = 2 * mp.exp(-s * mp.ln(2))  # 2^(1-s)
-    coeffs = [2 * _g2(s, s, 1)] + [-two_1ms * bern_over[r] * d_odd[r - 1] for r in range(1, R + 1)]
+    t_half = _unfix(*_pfaff_value(pfaff, 1, 2, W), W)  # 2 G2(1; s, s) = 2^(1-s) T(1/2)
+    coeffs = [two_1ms * (t_half if mp.im(s) else t_half.real)]
+    coeffs += [-two_1ms * bern_over[r] * d_odd[r - 1] for r in range(1, R + 1)]
     coeffs.append(two_1ms * bern_next * d_odd[R])  # the first omitted term
     # the kernel's target 10^-(digits - 10) is absolute, and zeta(3s+2r-1,
     # P+1) is tiny: one row with step 2 from n = P+1, at 10 digits above the
@@ -399,97 +405,59 @@ def _cmul(a, b, shift):
 def _horner(coeffs, num, den):
     """sum_m coeffs[m] (num/den)^m for fixed-point pairs and 0 < num/den <= 1/2,
     by Horner with floor division: each step rounds once and scales the
-    earlier error by num/den, so the value is within 2 units of the exact
-    sum of the given coefficients.  A power-of-two den (the strip rows'
-    x = j/P) divides by a shift, which floors like // at half its cost on
-    long integers."""
+    earlier error by num/den, so each part is within 2 units of the exact
+    sum of the given coefficients."""
     hr = hi = 0
-    if den & (den - 1) == 0:
-        shift = den.bit_length() - 1
-        for cr, ci in reversed(coeffs):
-            hr = (hr * num >> shift) + cr
-            hi = (hi * num >> shift) + ci
-        return hr, hi
     for cr, ci in reversed(coeffs):
         hr = hr * num // den + cr
         hi = hi * num // den + ci
     return hr, hi
 
 
-class _StripTail:
-    """The edge strips' tail integrals as one series: for 0 < x <= 1/2,
+def _pfaff_table(s, n, W):
+    """[c_m for m < n], c_m = (s)_m / ((2s)_m (2s - 1)), as fixed-point pairs
+    at scale 2^W, for Re s >= 1.1: the coefficients of
 
-        S(x) = x^(1-2s) G2(1/x; s, s) = integral over v in [0, 1] of
-               v^(2s-2) (1 + x v)^(-s) dv = sum_m c_m x^m,
-        c_m = b_m / (2s - 1 + m),  b_m = binom(-s, m)
+        T(y) = F(y) / (2s - 1),  F(y) = 2F1(s, 1; 2s; y) = sum_m (s)_m/(2s)_m y^m,
 
-    (the binomial series of (1 + x v)^(-s) integrated term by term), so row j
-    of the direct route has the tail integral K^(1-2s) S(j/K).  The Taylor
-    remainder of (1 + z)^(-s) after the z^m term is (m+1) b_(m+1) z^(m+1)
-    times the integral over t in [0, 1] of (1-t)^m (1+tz)^(-s-m-1) dt, whose
-    integrand is at most 1 in modulus for real z >= 0, so
+    the one series of every tail integral of the direct route: by
+    G2(1/x; s, s) = x^(2s-1) (1+x)^(-s) T(x/(1+x)) (the module docstring),
+    row j's tail integral, over k in [K, oo) of k^(-s) (j+k)^(-s), is
+    K^(1-s) (j+K)^(-s) T(j/(j+K)), y <= 1/3, and the corner's G2(1; s, s) is
+    2^(-s) T(1/2).  c_0 = 1/(2s-1), c_(m+1) = c_m (s+m)/(2s+m), and the ratio
+    has modulus below 1 for Re s > 0 (|2s+m|^2 - |s+m|^2 = 3|s|^2 + 2m Re s),
+    so |c_m| <= 1/|2s-1| < 1 and the series after n terms is below
+    2 y^n / |2s - 1| < 2 y^n for y <= 1/2: ceil((W+4)/log2(1/y)) terms put
+    T(y) within 2^-(W+3).
 
-        |sum_{k>m} c_k x^k| <= |b_(m+1)| x^(m+1) / (2 Re s + m):
+    Rounding, in units of 2^-W: each step forms c_m (s+m) exactly and divides
+    by 2s + m with one floor per part, within sqrt(2), and the later ratios,
+    of modulus below 1, carry that error forward without growth, so c_m is
+    within sqrt(2) (m+1) units and T(y) within sqrt(2)/(1-y)^2 <= 5.7.  Horner
+    adds 2 per part (see _horner), the truncation 1/8, and s rounded to 2^-W
+    (only its imaginary part, as Re s >= 1 has no bits below 2^-prec) under
+    1.6, as |dc_m/ds| <= |c_m| (2/|2s-1| + m/(4 Re s)): at y <= 1/2 the value
+    is within 12 units of T(y)."""
+    sr, si = _fix(s, W)
+    one = 1 << W
+    nr, ni = one << W, 0  # the numerator 1, then c_m (s + m), scale 2^(2W)
+    dr, di = 2 * sr - one, 2 * si  # 2s - 1, then 2s + m, scale 2^W
+    out = []
+    for m in range(n):
+        den = dr * dr + di * di
+        cr, ci = (nr * dr + ni * di) // den, (ni * dr - nr * di) // den
+        out.append((cr, ci))
+        ur = sr + m * one  # s + m
+        nr, ni = cr * ur - ci * si, cr * si + ci * ur
+        dr += one
+    return out
 
-    the tail of the series is bounded by its first omitted binomial term,
-    however large the terms grow before they decay (about e^(|Im s|/2) at
-    x = 1/2).  Its logarithm, in floats, gives the term count n for x = 1/2
-    before the table is built, and a count past _TAIL_TERMS_MAX is refused;
-    a row at x = num/den <= 1/2 takes the fewest terms whose tail is below
-    2^-(W+2).
 
-    The table is fixed point at V = W + 4 bits, built by b_(m+1) = -b_m
-    (s + m)/(m + 1) from s rounded to 2^-V.  A step's rounding e (at most 2
-    units per part) reaches every later b_k as e b_k / b_(m+1), so it moves
-    S by e T_m / b_(m+1), T_m the tail past m: at most 2 sqrt(2) x^(m+1) /
-    (2 Re s + m) units by the bound above, under 1.3 units in all for
-    Re s >= 1.1.  Absolute rounding thus never meets the terms' growth,
-    which would cost digits in floating point.  Each c_m's division adds a
-    unit times x^m, Horner 2 units, and the rounding of s moves S by under
-    2 units, as |dS/ds| <= 2/(2 Re s - 1)^2 + ln(3/2)/(2 Re s - 1) < 2: at
-    most 9 units of 2^-V, and a value at 2^-W is within 3 units of S(x)."""
-
-    def __init__(self, s, W):
-        self.W = W
-        sc = complex(s)
-        self.target = -(W + 2) * math.log(2)
-        # ln(|b_m| / (2 Re s - 1 + m)), the tail bound past m - 1 at x = 1
-        self.logs = [-math.log(2 * sc.real - 1)]
-        ln_b = 0.0  # ln |b_m|
-        while not self._converged(len(self.logs) - 1, 0.5):
-            m = len(self.logs) - 1
-            if m >= _TAIL_TERMS_MAX:
-                raise ValueError(
-                    f"the direct route's strip-tail series at s = {mp.nstr(s, 8)} would need "
-                    f"more than {_TAIL_TERMS_MAX} terms; use method=\"mb\""
-                )
-            ln_b += math.log(abs(sc + m) / (m + 1))
-            self.logs.append(ln_b - math.log(2 * sc.real + m))
-        n = len(self.logs) - 1
-        V = W + 4
-        sr, si = _fix(s, V)
-        br, bi = 1 << V, 0  # b_m, scale 2^V
-        self.coeffs = []
-        for m in range(n):
-            dr, di = 2 * sr + ((m - 1) << V), 2 * si  # 2s - 1 + m
-            den = dr * dr + di * di
-            cr, ci = (br * dr + bi * di) << V, (bi * dr - br * di) << V
-            self.coeffs.append((cr // den, ci // den))
-            ur = sr + (m << V)  # s + m
-            br, bi = (-(br * ur - bi * si) >> V) // (m + 1), (-(br * si + bi * ur) >> V) // (m + 1)
-
-    def _converged(self, m, x):
-        """Whether the bound puts the terms from m on below e^target at x."""
-        return self.logs[m] + m * math.log(x) <= self.target
-
-    def at(self, num, den):
-        """S(num/den) as a fixed-point pair at scale 2^W, from the fewest
-        terms that the bound allows at that x (it falls once the terms do,
-        and holds at n for every x <= 1/2)."""
-        x = num / den
-        n = bisect.bisect_left(range(len(self.logs)), True, key=lambda m: self._converged(m, x))
-        hr, hi = _horner(self.coeffs[:n], num, den)
-        return hr >> 4, hi >> 4  # from 2^-(W+4) to 2^-W
+def _pfaff_value(table, num, den, W):
+    """T(num/den), 0 < num/den <= 1/2, by Horner over the first
+    ceil((W+4)/log2(den/num)) terms of a table of _pfaff_table at scale 2^W,
+    the fewest that put it within 2^-(W+3) of the whole series."""
+    return _horner(table[: math.ceil((W + 4) / math.log2(den / num))], num, den)
 
 
 # -- the zeta kernel along straight paths ------------------------------------------

@@ -81,6 +81,18 @@ def test_omega_beyond_float_range_is_an_error(capsys):
     assert err.startswith("error: s must be finite")
 
 
+@pytest.mark.parametrize(
+    "re_s, im_s, refusal",
+    [("1.5", "805", "truncation estimate"), ("40", "1e8", "corner zeta row")],
+)
+def test_omega_refused_by_the_direct_route_is_an_error(capsys, re_s, im_s, refusal):
+    # a claim that leaves no digit, or a corner cutoff past its cap
+    rc, out, err = run(capsys, "omega", "--re", re_s, "--im", im_s)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: the direct route's {refusal}")
+
+
 def test_omega_no_convergence_is_an_error(capsys, monkeypatch):
     # mpmath's NoConvergence is not a ValueError; it must not end in a traceback
     def failing(*args, **kwargs):

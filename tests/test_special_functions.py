@@ -1,4 +1,5 @@
-"""Pole-checked Gamma and zeta wrappers and exact Bernoulli numbers.
+"""Pole-checked Gamma and zeta wrappers, exact Bernoulli numbers and the
+numeric types the package accepts.
 
 The wrappers run on mpmath, so they are checked against closed forms and
 functional equations rather than against mpmath itself."""
@@ -15,10 +16,11 @@ from su3asym.special_functions import (
     GammaPoleError,
     ZetaPoleError,
     bernoulli_fraction,
-    bernoulli_mpf,
     gamma_complex,
     zeta_complex,
 )
+from su3asym.harness import log_G_direct
+from su3asym.witten_zeta import omega_result
 
 mp.dps = 60
 TOL = mpf("1e-55")
@@ -114,4 +116,13 @@ def test_bernoulli_numbers():
     }
     for n, want in known.items():
         assert bernoulli_fraction(n) == want
-        assert abs(bernoulli_mpf(n) - mpf(want.numerator) / want.denominator) < TOL
+
+
+def test_inputs_of_every_accepted_type_give_the_same_value():
+    # a Python complex or Fraction comes in as the mpc or mpf it denotes;
+    # anything else is refused
+    assert omega_result(1.5 + 2.1j).value == omega_result(mpc(1.5, 2.1)).value
+    assert omega_result(Fraction(3, 2)).value == omega_result(mpf(3) / 2).value
+    assert log_G_direct(0.1 + 0.05j) == log_G_direct(mpc(0.1, 0.05))
+    with pytest.raises(TypeError, match="unsupported numeric type"):
+        omega_result("1.5")

@@ -23,14 +23,13 @@ from su3asym.witten_zeta import (
 from su3asym import witten_zeta
 from su3asym.witten_zeta import (
     _EM_DEPTH,
-    _StripTail,
     _auto_M,
     _bernoulli_over_factorial,
     _em_plan,
-    _g2,
     _gamma_line,
-    _horner,
     _neg_z_line,
+    _pfaff_table,
+    _pfaff_value,
     _pole_weight,
     _power_tables,
     _unfix,
@@ -314,6 +313,13 @@ def test_mb_error_claim_holds_next_to_an_integer(s, dps):
 # -- the direct route's tail integrals and its error claim ---------------------
 
 
+def _g2(s, w, x):
+    """G2(1/x; s, w) = x^e 2F1(w, e; e+1; -x) / e, e = s + w - 1 (the Euler
+    integral, DLMF 15.6.1): mpmath's hyp2f1, the reference for the tail series."""
+    e = s + w - 1
+    return mp.exp(e * mp.ln(x)) * mp.hyp2f1(w, e, e + 1, -x) / e
+
+
 @pytest.mark.parametrize("s", [mpf("1.3"), mpc("1.5", "2.1"), mpc("3.3", "-7")])
 def test_g2_matches_quadrature_of_its_integral(s):
     # G2(1/x; s, w) = int_0^x u^(s+w-2) (1+u)^(-w) du, where the direct route
@@ -347,21 +353,23 @@ def _tail_by_quadrature(s, x):
 @pytest.mark.parametrize("dps", [40, 150])
 @pytest.mark.parametrize("s", TAIL_POINTS, ids=["1.3", "1.5+2.1i", "3.3-7i", "1.3+40i", "1.5+200i"])
 def test_strip_tail_series_matches_g2_and_quadrature(dps, s):
-    # S(x) = x^(1-2s) G2(1/x; s, s) at the strip rows' x = j/128 and 1/2, from
-    # one coefficient table per s, against mpmath's hyp2f1 and against the
-    # integral.  At height 200 its terms grow to about 2^138 before they
-    # decay, so coefficients rounded in floating point at the working
-    # precision lose about 41 digits.  The 150-digit quadrature (about 1 s a
-    # point at low height) runs only at x = 63/128 and height 40 and 200
+    # S(x) = x^(1-2s) G2(1/x; s, s) = (1+x)^(-s) T(x/(1+x)) at the strip rows'
+    # x = j/128 and 1/2, and G2(1; s, s) = 2^(-s) T(1/2) in the corner, from
+    # one Pfaff table per s, against mpmath's hyp2f1 and against the
+    # integral.  The 150-digit quadrature (about 1 s a point at low height)
+    # runs only at x = 63/128 and height 40 and 200; the corner's integral
+    # only at low height, where it does not cancel
     mp.dps = dps
     W = mp.prec
-    tail = _StripTail(s, W)
-    for num, den in [(1, 128), (37, 128), (63, 128), (1, 2)]:
+    table = _pfaff_table(s, W + 4, W)
+    for num, den in [(1, 128), (37, 128), (63, 128), (1, 2), (1, 1)]:
         x = mpf(num) / den
-        got = _unfix(*tail.at(num, den), W)
+        got = (1 + x) ** -s * _unfix(*_pfaff_value(table, num, num + den, W), W)
         with mp.workdps(dps + 5):
             refs = {"hyp2f1": x ** (1 - 2 * s) * _g2(s, s, x)}
-            if dps == 40 or (num == 63 and abs(mp.im(s)) >= 40):
+            if num == den and dps == 40 and abs(mp.im(s)) < 10:
+                refs["quad"] = mp.quad(lambda u: u ** (2 * s - 2) * (1 + u) ** (-s), [0, 1])
+            elif num < den and (dps == 40 or (num == 63 and abs(mp.im(s)) >= 40)):
                 refs["quad"] = _tail_by_quadrature(s, x)
         for name, want in refs.items():
             rel = abs(got - want) / abs(want)
@@ -370,55 +378,79 @@ def test_strip_tail_series_matches_g2_and_quadrature(dps, s):
             )
 
 
+@settings(max_examples=60, deadline=None)
 @given(
-    coeffs=st.lists(
-        st.tuples(st.integers(-(2**1500), 2**1500), st.integers(-(2**1500), 2**1500)), max_size=40
-    ),
-    num=st.integers(min_value=1, max_value=200),
-    den=st.one_of(st.integers(min_value=2, max_value=400), st.sampled_from([2, 128, 1 << 20])),
+    re_s=st.floats(min_value=1.1, max_value=60),
+    im_s=st.floats(min_value=-3000, max_value=3000),
+    j=st.integers(min_value=0, max_value=128),
+    W=st.integers(min_value=64, max_value=700),
 )
-def test_horner_shift_matches_floor_division(coeffs, num, den):
-    # a power-of-two den takes the shift, which must floor exactly like //,
-    # negative parts included; any other den takes // itself
-    hr = hi = 0
-    for cr, ci in reversed(coeffs):
-        hr = hr * num // den + cr
-        hi = hi * num // den + ci
-    assert _horner(coeffs, num, den) == (hr, hi)
+def test_pfaff_series_stays_within_its_rounding_bound(re_s, im_s, j, W):
+    # T(y) from the terms the route takes, y = j/(j+K) on row j
+    # (K = max(128, 2j)) and 1/2 in the corner (j = 0), against the series
+    # summed at 2W bits: within the 12 units of 2^-W that _pfaff_table's
+    # docstring claims
+    s = mpc(re_s, im_s)
+    num, den = (1, 2) if j == 0 else (j, j + max(128, 2 * j))
+    got = _pfaff_value(_pfaff_table(s, W + 4, W), num, den, W)
+    with mp.workprec(2 * W):
+        y = mpf(num) / den
+        term, want, m = 1 / (2 * s - 1), 0, 0
+        while abs(term) > mpf(2) ** (-2 * W):
+            want += term
+            term *= (s + m) / (2 * s + m) * y
+            m += 1
+        err = mp.ldexp(abs(_unfix(*got, W) - want), W)
+    assert err <= 12, (s, num, den, W, mp.nstr(err, 3))
 
 
-def test_direct_point_calls_hyp2f1_at_most_once_and_fdot_never(monkeypatch):
-    # the strip tails share one series; only the corner's G2(1; s, s) is
-    # hyp2f1.  Calls that mpmath makes from inside a counted call (hyp2f1's
-    # transformations call it again) are not the route's
+def test_direct_point_calls_neither_hyp2f1_nor_fdot(monkeypatch):
+    # every tail integral, the corner's G2(1; s, s) included, comes from the
+    # one Pfaff table, and the block sums are integer dot products
     mp.dps = 60
     calls = {"hyp2f1": 0, "fdot": 0}
-    inside = []
     for name in calls:
 
         def counting(*args, _f=getattr(mp, name), _name=name, **kwargs):
-            calls[_name] += not inside
-            inside.append(_name)
-            try:
-                return _f(*args, **kwargs)
-            finally:
-                inside.pop()
+            calls[_name] += 1
+            return _f(*args, **kwargs)
 
         monkeypatch.setattr(mp, name, counting)
     omega_result(mpc("1.5", "2.1"), method="direct")
-    assert calls["hyp2f1"] <= 1 and calls["fdot"] == 0, calls
+    assert calls == {"hyp2f1": 0, "fdot": 0}, calls
 
 
-def test_direct_refuses_an_unaffordable_tail_series_up_front():
-    # 1.5 + 10^6 i needs about 1.9e6 terms; mpmath's hyp2f1 spent 4.3 s there
-    # before it raised NoConvergence
+def test_direct_refuses_a_useless_claim_up_front():
+    # where the rows' first omitted Euler-Maclaurin terms reach 1 the value
+    # carries no digit (|omega| <= omega(1.1) < 1.7); unrefused, 1.5 + 10^6 i
+    # takes about 34 s at 60 digits, and 1.5 + 805i claims 16.8.  A large
+    # Re(s) passes that estimate high up, where the corner's zeta row would
+    # need a cutoff of about |Im s| terms: unrefused, 40 + 10^5 i takes 1.2 s,
+    # and 40 + 10^8 i tens of GB
+    refused = [
+        (mpc("1.5", "805"), "truncation estimate"),
+        (mpc("1.5", "1e6"), "truncation estimate"),
+        (mpc(40, "1e5"), "cutoff"),
+        (mpc(40, "1e8"), "cutoff"),
+    ]
+    for dps in (30, 60, 150):
+        mp.dps = dps
+        for s, match in refused:
+            times = []
+            for _ in range(2):  # the better of two, clear of a scheduling hiccup
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match=match) as exc:
+                    omega_result(s)
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.1, (dps, s, times)
+            assert 'method="mb"' not in str(exc.value)
+    # below that height, or far up with a large real part, the route answers
     mp.dps = 60
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match='method="mb"'):
-        omega_result(mpc("1.5", "1e6"))
-    assert time.perf_counter() - start < 1
-    # far up but with a large real part the route is still good to 57 digits
-    for s, claim in [(mpc(40, 900), mpf("1.4e-57")), (mpc(100, 1000), mpf("1.4e-58"))]:
+    for s, claim in [
+        (mpc("1.5", "300"), mpf("4e-10")),
+        (mpc(40, 900), mpf("1.4e-57")),
+        (mpc(100, 1000), mpf("1.4e-58")),
+    ]:
         res = omega_result(s, method="direct")
         assert res.est_error <= claim, (s, mp.nstr(res.est_error, 3))
 
