@@ -151,18 +151,20 @@ def _euler_product(parts, limit: int) -> list[int]:
     Each factor is one :func:`_sweep` of an array of uint64 limb planes,
     shape (planes, limit + 1): plane k holds each coefficient's k-th digit
     in base 2^_LIMB_BITS.  Carries are deferred.  One bound on every limb is
-    kept; a sweep by d multiplies it by (limit + 1) // d + 1, and the planes
-    are carried only when the next sweep could take a limb past 2^63 (the bit
-    above leaves room for the carries a ripple adds).  A sweep too long to
+    kept; a sweep by d multiplies it by (limit + 1) // d + 1.  When the next
+    sweep could take a limb past 2^63 (the bit above leaves room for the
+    carries a ripple adds), the bound is first lowered to the largest limb
+    actually held, and the planes are carried only if that still does not
+    fit: 136 carries at limit 20,000 and 290 at 50,000, the final one
+    included, where the bound alone made 442 and 855.  A sweep too long to
     fit even right after a carry raises OverflowError; with 48-bit limbs up
     to EXACT_LIMIT only d = 1 is that long, and it comes first, before any
     carry.  The other factors then run from the largest d down (``parts``
     come ascending in d); the exact product does not depend on the order.
     Only the planes in use are swept, so the thousands of long-d sweeps run
-    while the counts are still short: at limit 20,000 on 1.2 of 8 planes on
-    average (at most 4).  Run first, the short-d sweeps would fill nearly all
-    8 before them.  They come last instead, a few dozen running sums per
-    plane.
+    while the counts are still short: at limit 20,000 on 1.3 of 8 planes on
+    average.  Run first, the short-d sweeps would fill nearly all 8 before
+    them.  They come last instead, a few dozen running sums per plane.
     """
     import numpy as np  # here, so that importing the CLI does not load numpy
 
@@ -172,6 +174,8 @@ def _euler_product(parts, limit: int) -> list[int]:
     for d, mult in parts[:1] + parts[:0:-1]:
         growth = (limit + 1) // d + 1
         for _ in range(mult):
+            if bound * growth >= 2**63:
+                bound = int(planes[:used].max())
             if bound * growth >= 2**63:
                 used, bound = _carry(planes, used), (1 << _LIMB_BITS) - 1
                 if bound * growth >= 2**63:

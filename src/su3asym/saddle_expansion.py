@@ -16,6 +16,13 @@ whose ingredients are computed symbolically to any order:
       A5 = Y^4 / (2560 X^10),
       C0 = (2 sqrt(3 pi) / sqrt(5)) X^(1/3) exp(-A5).
 
+  Gamma(1/3) = 2^(7/9) 3^(-1/12) (pi K)^(1/3), K = pi / (2 AGM(1, (sqrt 6 +
+  sqrt 2)/4)), is the AGM identity of Borwein & Zucker (IMA J. Numer. Anal.
+  12, 1992); zeta(1/2) and zeta(3/2) are one row, and zeta(5/3) one node, of
+  the package's Euler-Maclaurin zeta kernel (``witten_zeta._zeta_line``).
+  All four are computed 30 digits above the working precision and rounded
+  to the constants' own 15 guard digits.
+
 * ``saddle_series`` -- the saddle-point function S(x) = 1 + sum rho(m) x^m
   solving  F(S(x); x) = 0  for  F(z; w) = -2X^2 z^(-5/3) + Y w / (2X z^(3/2))
   + 2X^2.  With S = w^6 this is the trinomial w^10 = 1 - (Y/(4X^3)) x w, so
@@ -29,7 +36,10 @@ whose ingredients are computed symbolically to any order:
 * ``nu_coeff`` -- the coefficients of the generating-function expansion
 
       nu_m = sqrt(2 pi) / ((16 pi)^3 (8^5 pi^4)^m) * binom(2m, m)/(m+1)
-             * (6m+6)!/(3m+3)! * zeta(m+1/2) * zeta(3m+7/2).
+             * (6m+6)!/(3m+3)! * zeta(m+1/2) * zeta(3m+7/2),
+
+  both zeta values from one kernel row of two nodes, m + 1/2 and one step
+  of 2m + 3 on, run 15 digits above the working precision.
 
 * ``laurent_main`` -- the Laurent expansion in z (coefficients are
   polynomials in x) of
@@ -51,8 +61,11 @@ whose ingredients are computed symbolically to any order:
   moments  integral x^(2k) e^(-b x^2) dx = Gamma(k + 1/2) / b^(k + 1/2).
 
 All numbers are mpmath ``mpf``/``mpc`` values at the working precision of
-:mod:`su3asym.precision`; ladders are cached per (order, precision) in
-plain dicts (one computation per process, see :mod:`su3asym.precision`).
+:mod:`su3asym.precision`.  The module calls neither mpmath's Gamma nor its
+zeta, whose caches are cold at each new precision; ``omega_residue`` and the
+tests keep them as independent references.  Ladders are cached per (order,
+precision) in plain dicts (one computation per process, see
+:mod:`su3asym.precision`).
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from mpmath import mp, mpc, mpf
 
 from .precision import working_digits
 from .series import PowerSeries
-from .special_functions import gamma_complex, zeta_complex
+from .witten_zeta import _zeta_line
 from .xpoly import XPolynomial
 
 __all__ = [
@@ -132,17 +145,40 @@ _LADDER_CACHE: dict = {}
 _NU_CACHE: dict = {}
 
 
+def _gamma_third():
+    """Gamma(1/3) at the working precision by the AGM identity of ``constants``."""
+    K = mp.pi / (2 * mp.agm(1, (mp.sqrt(6) + mp.sqrt(2)) / 4))
+    return mpf(2) ** (mpf(7) / 9) * mpf(3) ** (-mpf(1) / 12) * mp.cbrt(mp.pi * K)
+
+
 def constants() -> ExpansionConstants:
-    """All base constants at the current working precision."""
+    """All base constants at the current working precision.
+
+    Gamma(1/3) comes from the arithmetic-geometric mean (Borwein & Zucker,
+    IMA J. Numer. Anal. 12, 1992):
+
+        Gamma(1/3) = 2^(7/9) 3^(-1/12) (pi K)^(1/3),
+        K = pi / (2 AGM(1, (sqrt 6 + sqrt 2)/4)),
+
+    K the complete elliptic integral at the singular value k = sin(pi/12).
+    zeta(1/2) and zeta(3/2) are one row of the package's Euler-Maclaurin
+    kernel (``_zeta_line(1/2, 1, 1)``) and zeta(5/3) one node of it.  The
+    constants are formed 15 digits above the working precision from these
+    four inputs, each computed 15 digits above that again and rounded: the
+    kernel's remainder target 10^-(digits - 10) then lies 5 digits below the
+    constants' last, so that the inputs' rounding is all the error they carry.
+    """
     prec = working_digits()
     hit = _CONSTANTS_CACHE.get(prec)
     if hit is not None:
         return hit
+    with mp.workdps(prec + 30):
+        inputs = [_gamma_third(), *_zeta_line(mpf(1) / 2, 1, 1), *_zeta_line(mpf(5) / 3, 0, 0)]
     with mp.workdps(prec + 15):
+        gamma_third, zeta_half, zeta_three_halves, zeta_five_thirds = (+v for v in inputs)
         third = mpf(1) / 3
-        X = (gamma_complex(third) ** 2 * zeta_complex(mpf(5) / 3) / 9) ** (mpf(3) / 10)
-        X = mp.re(X)
-        Y = -mp.sqrt(mp.pi) * mp.re(zeta_complex(mpf(1) / 2)) * mp.re(zeta_complex(mpf(3) / 2))
+        X = (gamma_third**2 * zeta_five_thirds / 9) ** (mpf(3) / 10)
+        Y = -mp.sqrt(mp.pi) * zeta_half * zeta_three_halves
         A1 = 5 * X**2
         A2 = Y / X
         A3 = 3 * Y**2 / (80 * X**4)
@@ -203,7 +239,15 @@ def saddle_series(order: int) -> SaddleSeries:
 
 
 def nu_coeff(m: int):
-    """The explicit expansion coefficient nu_m (see module docstring)."""
+    """The explicit expansion coefficient nu_m (see module docstring).
+
+    zeta(m + 1/2) and zeta(3m + 7/2) are the two nodes of one row of the
+    package's Euler-Maclaurin kernel, ``_zeta_line(m + 1/2, 2m + 3, 1)``
+    (an integer step, so its power table is exact), run 15 digits above the
+    working precision: the kernel's remainder target 10^-(digits - 10) lies
+    5 digits below the last of nu_m, which is rounded to the working
+    precision.
+    """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
     prec = working_digits()
@@ -214,7 +258,8 @@ def nu_coeff(m: int):
         factorial_ratio = math.factorial(6 * m + 6) // math.factorial(3 * m + 3)
         front = mp.sqrt(2 * mp.pi) / ((16 * mp.pi) ** 3 * (mpf(8) ** 5 * mp.pi**4) ** m)
         combinatorial = mpf(math.comb(2 * m, m)) / (m + 1) * factorial_ratio
-        zetas = mp.re(zeta_complex(m + mpf(1) / 2)) * mp.re(zeta_complex(3 * m + mpf(7) / 2))
+        zeta_low, zeta_high = _zeta_line(m + mpf(1) / 2, 2 * m + 3, 1)
+        zetas = zeta_low * zeta_high
         out = front * combinatorial * zetas
     out = +out
     _NU_CACHE[(m, prec)] = out

@@ -16,8 +16,8 @@ The special-function kernels of the package's own live in
 :mod:`su3asym.witten_zeta`: the fixed-point Euler-Maclaurin zeta along a
 straight path, which gives every zeta value omega sums (hundreds of nodes per
 contour line), and the contour's Gamma(-z) line, derived from one kept line
-Gamma(1/2 + i k h) by a rising product.  omega calls ``zeta_complex``
-nowhere; the residues, the zeta identity and the saddle constants do.
+Gamma(1/2 + i k h) by a rising product.  Neither omega nor the saddle
+constants call ``zeta_complex``; the residues and the zeta identity do.
 """
 
 from __future__ import annotations

@@ -81,14 +81,17 @@ Two independent evaluation routes are provided and cross-checked:
   failed against that route at 30, 60 and 150 digits: it accepts
   Re(s) <= 9, and real s up to Re(s) = 21.
 
-Every zeta value that omega sums comes from one fixed-point Euler-Maclaurin
+Every zeta value that omega sums, and every one of the saddle constants
+(:mod:`su3asym.saddle_expansion`), comes from one fixed-point Euler-Maclaurin
 kernel, ``_zeta_line``.  It walks a straight path a0 + k d (vertical contour
-lines, d = i h; finite-part rows, d = +-1; the corner row, d = 2; a single
-node, d = 0) from a start index a of its partial sum (zeta(x, a), DLMF
-25.11), with power tables built from one exp(-x ln p) per prime, or exactly
-for an integer step, and its Bernoulli coefficients from one exact table per
-process.  Its depth follows Johansson's remainder bound (Numer. Algorithms
-2015), which treats Hurwitz zeta alike.
+lines, d = i h; finite-part rows, d = +-1; the corner row, d = 2; the
+saddle constants' half-integer rows, zeta(1/2) and zeta(3/2) with d = 1 and
+zeta(m + 1/2) and zeta(3m + 7/2) with d = 2m + 3; a single node, d = 0, such
+as their zeta(5/3)) from a start index a of its partial sum
+(zeta(x, a), DLMF 25.11), with power tables built from one exp(-x ln p) per
+prime, or exactly for an integer step, and its Bernoulli coefficients from
+one exact table per process.  Its depth follows Johansson's remainder bound
+(Numer. Algorithms 2015), which treats Hurwitz zeta alike.
 
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
@@ -465,11 +468,15 @@ def _pfaff_value(table, num, den, W):
 # omega needs zeta at many points of a few straight paths a0 + k d: the
 # trapezoid quadrature at hundreds of nodes of vertical lines (d = i h), the
 # finite part at 2s + k and s - k (rows, d = +1 and -1) and at 3s - 1 (one
-# node, d = 0), and the direct route's
-# corner at the Hurwitz values zeta(3s + 2r - 1, P + 1) (a row with d = 2 whose
-# partial sum starts at n = P + 1).  zeta is the package's own Euler-Maclaurin
-# kernel, one path for every line and row at any Re(a0), restructured in three
-# ways that make a thousand-node contour affordable at 30+ digits:
+# node, d = 0), and the direct route's corner at the Hurwitz values
+# zeta(3s + 2r - 1, P + 1) (a row with d = 2 whose partial sum starts at
+# n = P + 1).  The saddle constants take theirs from the same paths:
+# half-integer rows of two nodes, zeta(1/2) and zeta(3/2) (d = 1) and
+# zeta(m + 1/2) and zeta(3m + 7/2) of nu_m (d = 2m + 3), and zeta(5/3) as
+# one node.
+# zeta is the package's own Euler-Maclaurin kernel, one path for every line
+# and row at any Re(a0), restructured in three ways that make a thousand-node
+# contour affordable at 30+ digits:
 #
 # * the tables n^(-a0) and n^(-d) are built by complete multiplicativity: one
 #   exp(-x ln p) per prime p <= N, one fixed-point product per composite (an

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from su3asym import exact_counting
@@ -82,9 +82,12 @@ def test_r_exact_matches_per_cell_sweep_property(limit):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=600))
+@example(600)
 def test_r_exact_with_8_bit_limbs_matches_per_cell_sweep(limit):
-    # Narrow limbs give up to 9 planes, a carry every few sweeps and carry
-    # ripples through every plane
+    # Narrow limbs give up to 9 planes, through which the final carry
+    # ripples.  The limbs are carried only once their largest value could
+    # pass 2^63 in the next sweep, so a carry falls among the sweeps only
+    # from limit 560 on; 600 always runs
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact_counting, "_LIMB_BITS", 8)
         counts = r_exact(limit)
@@ -114,9 +117,11 @@ def test_r_exact_raises_when_a_carry_would_leave_the_top_plane(monkeypatch):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=600))
+@example(600)
 def test_euler_product_does_not_depend_on_the_order_of_parts(limit):
-    # 8-bit limbs carry every few sweeps, so the reversed list, which puts
-    # the largest part first and d = 1 second, carries at other points
+    # With 8-bit limbs both orders carry among the sweeps at limit 600, the
+    # reversed list, which puts the largest part first and d = 1 second, at
+    # other points
     parts = su3_parts(limit)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exact_counting, "_LIMB_BITS", 8)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 from mpmath import mp, mpf, mpc
 
+from su3asym import saddle_expansion
 from su3asym.saddle_expansion import (
     MAX_C_ORDER,
     MAX_LADDER_ORDER,
     MAX_SADDLE_ORDER,
     LadderPolys,
     _LADDER_CACHE,
+    _gamma_third,
     c_constants,
     constants,
     expansion_polys,
@@ -27,12 +29,42 @@ TOL = mpf("1e-50")
 
 
 def test_constants_defining_closed_forms():
-    cst = constants()
-    third = mpf(1) / 3
-    x_def = (gamma_complex(third) ** 2 * zeta_complex(5 * third) / 9) ** (mpf(3) / 10)
-    y_def = -mp.sqrt(mp.pi) * zeta_complex(mpf("0.5")) * zeta_complex(mpf("1.5"))
-    assert abs(cst.X - x_def) < TOL
-    assert abs(cst.Y - y_def) < TOL
+    # constants() carries 15 guard digits; the references are mpmath's Gamma
+    # and zeta, 30 digits up
+    for dps in (30, 60, 150):
+        mp.dps = dps
+        cst = constants()
+        with mp.workdps(dps + 30):
+            third = mpf(1) / 3
+            x_def = (gamma_complex(third) ** 2 * zeta_complex(5 * third) / 9) ** (mpf(3) / 10)
+            y_def = -mp.sqrt(mp.pi) * zeta_complex(mpf("0.5")) * zeta_complex(mpf("1.5"))
+            assert abs(cst.X / x_def - 1) < mpf(10) ** -(dps + 10)
+            assert abs(cst.Y / y_def - 1) < mpf(10) ** -(dps + 10)
+
+
+@pytest.mark.parametrize("dps", [30, 60, 150, 300])
+def test_gamma_third_by_the_agm(dps):
+    # the identity is exact, so at any precision the AGM value is within
+    # rounding, a few units in the last place, of Gamma(1/3)
+    mp.dps = dps
+    got, ulp = _gamma_third(), +mp.eps
+    with mp.workdps(dps + 20):
+        want = mp.gamma(mpf(1) / 3)
+        assert abs(got / want - 1) < 4 * ulp
+
+
+def test_saddle_constants_call_no_mpmath_gamma_or_zeta(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("saddle_expansion called mpmath's Gamma or zeta")
+
+    for cache in ("_CONSTANTS_CACHE", "_NU_CACHE", "_LADDER_CACHE"):
+        monkeypatch.setattr(saddle_expansion, cache, {})
+    monkeypatch.setattr(mp, "gamma", refuse)
+    monkeypatch.setattr(mp, "zeta", refuse)
+    mp.dps = 47  # a precision no other test uses
+    assert constants().X > 0
+    assert all(nu_coeff(m) != 0 for m in range(4))
+    assert len(c_constants(4)) == 5
 
 
 def test_constants_internal_identities():
@@ -74,19 +106,47 @@ def test_saddle_series_order_guard():
         saddle_series(MAX_SADDLE_ORDER + 1)
 
 
-def test_nu_first_coefficient():
-    # nu_0 = sqrt(2 pi) / (16 pi)^3 * (6!/3!) * zeta(1/2) zeta(7/2), a negative number
-    want = (
+def _nu_closed_form(m):
+    return (
         mp.sqrt(2 * mp.pi)
-        / (16 * mp.pi) ** 3
-        * 120
-        * zeta_complex(mpf("0.5"))
-        * zeta_complex(mpf("3.5"))
+        / ((16 * mp.pi) ** 3 * (mpf(8) ** 5 * mp.pi**4) ** m)
+        * mp.binomial(2 * m, m)
+        / (m + 1)
+        * mp.factorial(6 * m + 6)
+        / mp.factorial(3 * m + 3)
+        * zeta_complex(m + mpf(1) / 2)
+        * zeta_complex(3 * m + mpf(7) / 2)
     )
-    got = nu_coeff(0)
-    assert got < 0
-    assert abs(got - want) < TOL
-    assert abs(got + mpf("0.00389709738506")) < mpf("1e-14")
+
+
+def test_nu_first_coefficient():
+    # nu_0 = sqrt(2 pi) / (16 pi)^3 * (6!/3!) * zeta(1/2) zeta(7/2), a negative
+    # number.  nu_m is rounded to the working precision, so it must be the
+    # reference, taken 30 digits up, rounded there.
+    for dps in (30, 60, 150):
+        mp.dps = dps
+        got = nu_coeff(0)
+        with mp.workdps(dps + 30):
+            want = (
+                mp.sqrt(2 * mp.pi)
+                / (16 * mp.pi) ** 3
+                * 120
+                * zeta_complex(mpf("0.5"))
+                * zeta_complex(mpf("3.5"))
+            )
+        assert got < 0
+        assert got == +want
+        assert abs(got + mpf("0.00389709738506")) < mpf("1e-14")
+
+
+@pytest.mark.parametrize("dps", [30, 60, 150])
+def test_nu_coeff_is_its_closed_form_rounded(dps):
+    # m = 0 is test_nu_first_coefficient
+    mp.dps = dps
+    got = [nu_coeff(m) for m in range(1, 4)]
+    with mp.workdps(dps + 30):
+        want = [_nu_closed_form(m) for m in range(1, 4)]
+    assert got == [+w for w in want]
 
 
 def test_nu_growth_is_cubic_factorial_scale():
