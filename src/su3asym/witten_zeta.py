@@ -20,10 +20,10 @@ Two independent evaluation routes are provided and cross-checked:
       F(y) = 2F1(s, 1; 2s; y) = sum_m (s)_m/(2s)_m y^m,
 
   whose coefficients never grow, so one fixed-point table of them serves the
-  strip rows (y <= 1/3) and the corner (y = 1/2).  The corner {j, k > P} is
-  the diagonal plus twice the triangle P < j < k; Euler-Maclaurin from
-  k = j makes each row a finite sum of powers of j, so the corner is a list
-  of Hurwitz zeta values zeta(x, P+1) (DLMF 25.11):
+  strip rows (y = j/(j+P) <= 1/2) and the corner (y = 1/2).  The corner
+  {j, k > P} is the diagonal plus twice the triangle P < j < k;
+  Euler-Maclaurin from k = j makes each row a finite sum of powers of j, so
+  the corner is a list of Hurwitz zeta values zeta(x, P+1) (DLMF 25.11):
 
       corner = 2 G2(1; s, s) zeta(3s-1, P+1)
                - 2^(1-s) sum_{r=1}^{R} (B_2r/(2r)) d_(2r-1) zeta(3s+2r-1, P+1),
@@ -34,7 +34,7 @@ Two independent evaluation routes are provided and cross-checked:
   Re(s) >= 1.1, where |omega(s)| <= omega(1.1) < 1.7; a point whose rows'
   first omitted Euler-Maclaurin terms reach 1, a claim that leaves no digit
   (from about 1.5 + 805i up), or with |Im s| beyond about 5000 (the corner's
-  cutoff _DIRECT_CUTOFF_MAX) is refused before any table is built.
+  cutoff _ZETA_CUTOFF_MAX) is refused before any table is built.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -79,7 +79,10 @@ Two independent evaluation routes are provided and cross-checked:
 
   The route refuses, pointing to the direct route, where its error claim
   failed against that route at 30, 60 and 150 digits: it accepts
-  Re(s) <= 9, and real s up to Re(s) = 21.
+  Re(s) <= 9, and real s up to Re(s) = 21.  Its contour's zeta lines reach
+  about 3 |Im s|, so like the direct route it refuses |Im s| beyond about
+  5000, whose lines would need a cutoff past _ZETA_CUTOFF_MAX, before any
+  line is built.
 
 Every zeta value that omega sums, and every one of the saddle constants
 (:mod:`su3asym.saddle_expansion`), comes from one fixed-point Euler-Maclaurin
@@ -158,9 +161,11 @@ class WittenZetaPoleError(ZeroDivisionError):
 # ``method="auto"`` switches from the continuation to it.
 _DIRECT_P = 128
 _DIRECT_R = 12
-# Direct route: fixed-point guard bits of its rows; the most terms of its corner's zeta row.
+# Direct route: fixed-point guard bits of its rows.
 _DIRECT_GUARD = 30
-_DIRECT_CUTOFF_MAX = 5000
+# Both routes: the most terms of a zeta row's partial sum, the direct route's
+# corner row and the continuation's contour lines; either refuses beyond it.
+_ZETA_CUTOFF_MAX = 5000
 # Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
 # zeta line; higher precisions and lines far left take more (see _zeta_line).
 _EM_DEPTH = 13
@@ -240,16 +245,16 @@ def _direct_eval(s):
     """Worker for the direct route at the current working precision.
 
     Splits the lattice into the rows j <= P (the block {j, k <= P} and the
-    two symmetric edge strips {j <= P < k}), each summed exactly to
-    k = K_j = max(P, 2j) and closed by an Euler-Maclaurin tail in k, and the
-    corner {j, k > P}, whose rows' Euler-Maclaurin forms sum to Hurwitz zeta
-    values.  The module docstring's refusals come first, at 64 bits.  The
-    rows run in fixed point at W = prec + _DIRECT_GUARD bits, plus the bits of
-    the correction polynomials' largest value: the table n^(-s), n <= 3P, from
+    two symmetric edge strips {j <= P < k}), each summed exactly to k = P and
+    closed by an Euler-Maclaurin tail in k, and the corner {j, k > P}, whose
+    rows' Euler-Maclaurin forms sum to Hurwitz zeta values.  The module
+    docstring's refusals come first, at 64 bits.  The rows run in fixed point
+    at W = prec + _DIRECT_GUARD bits, plus the bits of the correction
+    polynomial's largest value: the table n^(-s), n <= 2P, from
     _power_tables (one exp(-s ln p) per prime); each row's block sum as
-    integer dot products; its correction polynomials by Horner with integer
-    floor division; its tail integral K base T(j/(j+K)),
-    base = K^(-s) (j+K)^(-s), by Horner over the one table of _pfaff_table.
+    integer dot products; its corrections, one polynomial in y = 1/(j+P), by
+    Horner with integer floor division; its tail integral P base T(j/(j+P)),
+    base = P^(-s) (j+P)^(-s), by Horner over the one table of _pfaff_table.
 
     Rounding, in units u = 2^-(prec + _DIRECT_GUARD), W >= prec +
     _DIRECT_GUARD: an entry n^(-s) is at most 1 in modulus (Re s > 0) and
@@ -257,10 +262,10 @@ def _direct_eval(s):
     within 24 u and a block row of at most P of them within 24 P u; a
     correction is within 3 units of 2^-W and multiplies a base term's 24
     units of 2^-W by at most 2^(W - prec - _DIRECT_GUARD); base is within
-    (24 K^(-sigma) + 2) u and T(j/(j+K)) under 2 and within 12 u (see
-    _pfaff_table), so the tail integral, K times the rounded base T, is within
-    (48 K^(1-sigma) + 5 K) u <= 1400 u.  A row therefore carries about
-    50 P + 2900 u, and the P rows under 2^21 u, 2^-9 units in the last place
+    (24 P^(-sigma) + 2) u and T(j/(j+P)) under 2 and within 12 u (see
+    _pfaff_table), so the tail integral, P times the rounded base T, is within
+    (48 P^(1-sigma) + 5 P) u <= 700 u.  A row therefore carries about
+    50 P + 1500 u, and the P rows under 2^20 u, 2^-10 units in the last place
     of the working precision: far inside the allowance tol (P + 4) =
     10^4 (P + 4) such units.  The corner is formed in floating point, each of
     its terms rounded once, and the allowance covers it as before.
@@ -275,16 +280,12 @@ def _direct_eval(s):
     *bern_over, bern_next = [None] + [_to_mp(b * math.factorial(2 * r - 1)) for r, b in bern]
 
     # rows j <= P of the block and the edge strips (j <-> k symmetry: the
-    # diagonal plus twice k > j): each row sums j < k <= K_j = max(P, 2j)
-    # exactly, so that the Euler-Maclaurin cutoff of its tail in k satisfies
-    # K_j / j >= 2, and adds that tail.  The corrections need the
-    # odd Taylor coefficients c_q of (1 + u/K)^(-s) (1 + u/(j+K))^(-s),
-    #   c_q = sum_i beta_i beta_(q-i) K^(-i) (j+K)^(-(q-i)),  beta_i = binom(-s, i),
-    # which are polynomials in one variable per regime: in y = 1/(j+P) for
-    # the rows 2j < P (K = P), and gamma_q j^(-q) for the rows 2j >= P
-    # (K = 2j), with gamma_q the coefficient at j = 1.  Each table is the
-    # coefficient list of one power of a quadratic, (1 + c1 u + c2 u^2)^(-s);
-    # gamma_q's is (1 + u/2)(1 + u/3) = 1 + 5u/6 + u^2/6.
+    # diagonal plus twice k > j): each row sums j < k <= P exactly and adds
+    # the Euler-Maclaurin tail of k > P.  The corrections need the odd Taylor
+    # coefficients c_q of (1 + u/P)^(-s) (1 + u/(j+P))^(-s),
+    #   c_q = sum_i beta_i beta_(q-i) P^(-i) (j+P)^(-(q-i)),  beta_i = binom(-s, i),
+    # a polynomial in y = 1/(j+P).  Each table is the coefficient list of one
+    # power of (1 + c1 u + c2 u^2)^(-s).
 
     def taylor(c1, c2=0):
         """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(2R+1)."""
@@ -292,21 +293,18 @@ def _direct_eval(s):
 
     beta = taylor(mpf(1))
     at_P = taylor(1 / mpf(P))
-    # gamma_(2r-1) for r = 1..R+1 (rows 2j >= P)
-    gamma_odd = taylor(mpf(5) / 6, mpf(1) / 6)[1::2]
     # refusals priced before any table is built: the rows' first omitted
     # Euler-Maclaurin terms B_(2R+2)/(2R+2) c_(2R+1) |pj base| leave no digit
     # from 1 on, as |omega(s)| <= omega(1.1) < 1.7; they fall like
     # (P (P+1))^(-sigma), so the cutoff N of the corner's zeta row, about
-    # |Im s|, is capped too.  On the rows 2j < P, c_(2R+1) is a polynomial in y
+    # |Im s|, is capped too.  c_(2R+1) is a polynomial in y
     V = mp.prec + _DIRECT_GUARD
     ly = [_fix(beta[m] * at_P[2 * R + 1 - m], V) for m in range(2 * R + 2)]
     with mp.workprec(64):
         sigma = +mp.re(s)
-        last = [abs(_unfix(*_horner(ly, 1, j + P), V)) for j in range(1, (P + 1) // 2)]
-        last += [abs(gamma_odd[R]) / j ** (2 * R + 1) for j in range((P + 1) // 2, P + 1)]
         est = 2 * abs(bern_next) * mp.fsum(
-            c * mpf(j * max(P, 2 * j) * (j + max(P, 2 * j))) ** -sigma for j, c in enumerate(last, 1)
+            abs(_unfix(*_horner(ly, 1, j + P), V)) * mpf(j * P * (j + P)) ** -sigma
+            for j in range(1, P + 1)
         )
     if est >= 1:
         raise ValueError(
@@ -314,58 +312,46 @@ def _direct_eval(s):
             "while |omega(s)| <= omega(1.1) < 1.7 for Re(s) >= 1.1: the value would carry no digit"
         )
     N = _em_plan(3 * s - 1, 2, R + 1, P + 1)[0]
-    if N > _DIRECT_CUTOFF_MAX:
+    if N > _ZETA_CUTOFF_MAX:
         raise ValueError(
             f"the direct route's corner zeta row at s = {mp.nstr(s, 8)} would need a "
-            f"cutoff of {N} terms, more than {_DIRECT_CUTOFF_MAX}"
+            f"cutoff of {N} terms, more than {_ZETA_CUTOFF_MAX}"
         )
-    # sum_r B_2r/(2r) c_(2r-1) as a polynomial in y (rows 2j < P)
+    # sum_r B_2r/(2r) c_(2r-1) as a polynomial in y
     corr_y = [
         beta[m] * sum(
             bern_over[(i + m + 1) // 2] * at_P[i] for i in range((m + 1) % 2, 2 * R - m, 2)
         )
         for m in range(2 * R)
     ]
-    corr_j = [bern_over[r] * gamma_odd[r - 1] for r in range(1, R + 1)]
     # a correction multiplies the absolute rounding of its row's base term:
-    # W carries the bits of the largest (y <= 1/(P+1), 1/j <= 2/P)
-    big = max(
-        sum(abs(c) / mpf(P + 1) ** m for m, c in enumerate(corr_y)),
-        sum(abs(c) * (mpf(2) / P) ** (2 * r + 1) for r, c in enumerate(corr_j)),
-    )
+    # W carries the bits of the largest (y <= 1/(P+1))
+    big = sum(abs(c) / mpf(P + 1) ** m for m, c in enumerate(corr_y))
     W = V + max(0, int(mp.log(big, 2)) + 1)
-    ((re, im),) = _power_tables([s], 3 * P, W)
+    ((re, im),) = _power_tables([s], 2 * P, W)
     pw = [None] + list(zip(re, im))  # pw[n] = n^(-s), scale 2^W
     fy = [_fix(c, W) for c in corr_y]
-    fj = [_fix(c, W) for c in corr_j]
     pfaff = _pfaff_table(s, W + 4, W)  # the terms that T(1/2) takes
-    t_third = _pfaff_value(pfaff, 1, 3, W)  # shared by the rows 2j >= P
     # the block sums in Gauss's three products: (a + ib)(c + id) has real part
     # ac - bd and imaginary part (a + b)(c + d) - ac - bd
     sums = list(map(add, re, im))
     re, im, sums = [0] + re, [0] + im, [0] + sums
     acc_r = acc_i = 0  # scale 2^(3W)
     for j in range(1, P + 1):
-        K = max(P, 2 * j)
-        lo, hi, lo2, hi2 = j + 1, K + 1, 2 * j + 1, j + K + 1
+        lo, hi, lo2, hi2 = j + 1, P + 1, 2 * j + 1, j + P + 1
         ac = sum(map(mul, re[lo:hi], re[lo2:hi2]))
         bd = sum(map(mul, im[lo:hi], im[lo2:hi2]))
         row_r, row_i = ac - bd, sum(map(mul, sums[lo:hi], sums[lo2:hi2])) - ac - bd
         pj = pw[j]
-        base = _cmul(pw[K], pw[j + K], W)
-        if 2 * j < P:
-            corr = _horner(fy, 1, j + P)
-            T = _pfaff_value(pfaff, j, j + P, W)
-        else:
-            cr, ci = _horner(fj, 1, j * j)
-            corr = cr // j, ci // j
-            T = t_third
-        tb = _cmul(base, T, W)  # the tail integral is K base T(j/(j+K))
-        # pj (2 row + pj pw[2j] + 2 K tb - base - 2 base corr), at 2^(3W)
+        base = _cmul(pw[P], pw[j + P], W)
+        corr = _horner(fy, 1, j + P)
+        T = _pfaff_value(pfaff, j, j + P, W)
+        tb = _cmul(base, T, W)  # the tail integral is P base T(j/(j+P))
+        # pj (2 row + pj pw[2j] + 2 P tb - base - 2 base corr), at 2^(3W)
         bc = _cmul(base, corr, 0)
         dg = _cmul(pj, pw[2 * j], 0)
-        br = 2 * row_r + dg[0] + ((2 * K * tb[0] - base[0]) << W) - 2 * bc[0]
-        bi = 2 * row_i + dg[1] + ((2 * K * tb[1] - base[1]) << W) - 2 * bc[1]
+        br = 2 * row_r + dg[0] + ((2 * P * tb[0] - base[0]) << W) - 2 * bc[0]
+        bi = 2 * row_i + dg[1] + ((2 * P * tb[1] - base[1]) << W) - 2 * bc[1]
         acc_r += pj[0] * br - pj[1] * bi
         acc_i += pj[0] * bi + pj[1] * br
     acc = mp.ldexp(acc_r, -3 * W)
@@ -425,8 +411,8 @@ def _pfaff_table(s, n, W):
 
     the one series of every tail integral of the direct route: by
     G2(1/x; s, s) = x^(2s-1) (1+x)^(-s) T(x/(1+x)) (the module docstring),
-    row j's tail integral, over k in [K, oo) of k^(-s) (j+k)^(-s), is
-    K^(1-s) (j+K)^(-s) T(j/(j+K)), y <= 1/3, and the corner's G2(1; s, s) is
+    row j's tail integral, over k in [P, oo) of k^(-s) (j+k)^(-s), is
+    P^(1-s) (j+P)^(-s) T(j/(j+P)), y <= 1/2, and the corner's G2(1; s, s) is
     2^(-s) T(1/2).  c_0 = 1/(2s-1), c_(m+1) = c_m (s+m)/(2s+m), and the ratio
     has modulus below 1 for Re s > 0 (|2s+m|^2 - |s+m|^2 = 3|s|^2 + 2m Re s),
     so |c_m| <= 1/|2s-1| < 1 and the series after n terms is below
@@ -791,8 +777,17 @@ def _mb_integral(s, M: int, digit_target: int):
     t_max = max(6.0, t_max) + abs(im_s)
     real_s = mp.im(s) == 0  # exactly: a tiny Im s must not round to a real s
     target_abs = mpf(10) ** (-(digit_target + 5))
+    # the longest zeta cutoff is that of the 2s + c line of the half whose
+    # |Im| grows, to about 3 |Im s|; priced before any line is built
+    s_up = s if im_s >= 0 else mp.conj(s)
     for _ in range(4):
         K = int(t_max / float(h)) + 1
+        N = _em_plan(2 * s_up + c, mpc(0, h), K)[0]
+        if N > _ZETA_CUTOFF_MAX:
+            raise ValueError(
+                f"the continuation's zeta lines at s = {mp.nstr(s, 8)} would need a "
+                f"cutoff of {N} terms, more than {_ZETA_CUTOFF_MAX}"
+            )
         neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
         upper = _half_line(s, c, h, K, neg_z)
         # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)

@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 
 from su3asym import cli
 from su3asym.cli import main
-from su3asym.exact_counting import EXACT_LIMIT
+from su3asym.exact_counting import EXACT_LIMIT, r_exact_via_exp
 from su3asym.harness import asymptotic_log_G, compare_table, log_G_direct
 from su3asym.witten_zeta import omega_result
 
@@ -40,6 +40,21 @@ def test_rn_csv_with_oracle(capsys):
     assert lines[0] == "n,r_n"
     assert lines[1:] == ["0,1", "1,1", "2,1", "3,3", "4,3", "5,3"]
     assert "oracle-check: OK" in err
+
+
+def test_rn_oracle_mismatch_is_reported(capsys, monkeypatch):
+    # the check compares the DP with the exp oracle; one changed oracle value
+    # must end in status 1, the first differing n on stderr and no table
+    def wrong_oracle(limit):
+        values = r_exact_via_exp(limit)
+        values[3] += 1
+        return values
+
+    monkeypatch.setattr(cli, "r_exact_via_exp", wrong_oracle)
+    rc, out, err = run(capsys, "rn", "--max", "5", "--oracle-check")
+    assert rc == 1
+    assert out == ""
+    assert err == "oracle-check: MISMATCH at n=3: dp=3 exp=4\n"
 
 
 def test_rn_rejects_bad_max(capsys):
@@ -91,6 +106,15 @@ def test_omega_refused_by_the_direct_route_is_an_error(capsys, re_s, im_s, refus
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: the direct route's {refusal}")
+
+
+def test_omega_refused_by_the_continuation_is_an_error(capsys):
+    # auto takes mb below Re(s) = 1.1; at this height its zeta lines would
+    # need a cutoff far past the cap, and about 2 10^8 contour nodes
+    rc, out, err = run(capsys, "omega", "--re", "0.8", "--im", "1e8")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: the continuation's zeta lines")
 
 
 def test_omega_no_convergence_is_an_error(capsys, monkeypatch):
@@ -207,6 +231,19 @@ def test_compare_csv(capsys):
     assert len(lines) == 7  # header + 3 n values x 2 L values
 
 
+@pytest.mark.parametrize(
+    "n_list, message",
+    [("5,x", "expected comma-separated integers, got '5,x'"), (",", "empty integer list")],
+)
+def test_compare_rejects_a_malformed_n_list(capsys, n_list, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--n", n_list])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"argument --n: {message}")
+
+
 def _significant_digits(text):
     return len(text.lstrip("-").replace(".", "").lstrip("0"))
 
@@ -251,6 +288,15 @@ def test_residual_at_a_complex_point(capsys):
     z = mpc("0.05", "0.02")
     want = abs(log_G_direct(z) - asymptotic_log_G(z, mpf("2.25")))
     assert payload["residual"] == mp.nstr(want, 12)
+
+
+def test_residual_at_a_point_with_zero_imaginary_part_is_the_real_point(capsys):
+    # RE,0 reads as the real RE
+    rc, out, _ = run(capsys, "residual", "--z", "0.05,0", "--eta", "1.25")
+    assert rc == 0
+    rc_real, out_real, _ = run(capsys, "residual", "--z", "0.05", "--eta", "1.25")
+    assert rc_real == 0
+    assert out == out_real
 
 
 def test_residual_checks_eta_before_the_direct_sum(capsys, monkeypatch):

@@ -105,6 +105,22 @@ def test_exact_counts_with_56_bit_limbs_refuse_long_sweeps(monkeypatch):
         r_exact(2000)
 
 
+def test_no_limb_reaches_two_to_the_63_after_any_sweep(monkeypatch):
+    # the invariant the carry rule keeps, checked after every sweep.  The
+    # largest limb any sweep leaves is 2^61.8 at r(20000) and 2^61.5 at
+    # p(5000); a rule that reads a quarter of the largest limb held reaches
+    # 2^63.5 at both, which the pinned counts alone do not show
+    sweep = exact_counting._sweep
+
+    def checked(v, d):
+        sweep(v, d)
+        assert int(v.max()) < 2**63, (d, math.log2(int(v.max())))
+
+    monkeypatch.setattr(exact_counting, "_sweep", checked)
+    r_exact(20000)
+    p_exact(5000)
+
+
 def test_r_exact_raises_when_a_carry_would_leave_the_top_plane(monkeypatch):
     # r(5000) has 177 bits: three 48-bit planes, one fewer than it needs,
     # cannot hold it, and a carry during the short-d sweeps finds the top

@@ -487,6 +487,37 @@ def test_direct_error_claim_covers_the_rounding_of_the_value(s):
     )
 
 
+@pytest.mark.parametrize("dps", [60, 150])
+@pytest.mark.parametrize(
+    "re_s, im_s",
+    [("2", 0), ("1.1", 0), ("1.5", 0), ("1.5", "2.1"), ("3.3", "-7"), ("1.2", "0.5"), ("4", "120"),
+     ("2.5", "60")],
+)
+def test_direct_claim_holds_against_a_longer_truncation(monkeypatch, dps, re_s, im_s):
+    # the reference closes its rows at P = 384 with R = 20 corrections and runs
+    # at 140 digits, so its own error is far below the claim it checks.  s is
+    # built once at the working precision and the reference takes the same
+    # binary value: re-rounding 1.1 at 140 digits moves omega by |omega'| ulp,
+    # a false 2.4-fold violation at 30 digits.  The worst ratio measured is
+    # 0.98 at 60 digits (4+120i); at 150 digits it is 0.999 on the real axis,
+    # where the summand is completely monotone and the first omitted
+    # Euler-Maclaurin term bounds the remainder with little to spare
+    mp.dps = dps
+    s = mpc(re_s, im_s) if im_s else mpf(re_s)
+    res = omega_result(s, method="direct")
+    monkeypatch.setattr(witten_zeta, "_DIRECT_P", 384)
+    monkeypatch.setattr(witten_zeta, "_DIRECT_R", 20)
+    with mp.workdps(140):
+        ref, ref_est = witten_zeta._direct_eval(s)
+    diff = abs(res.value - ref)
+    mp.dps = 60
+    assert ref_est <= res.est_error / 1000, (s, dps, mp.nstr(ref_est, 3))
+    assert diff <= res.est_error, (
+        f"s={s}, dps={dps}: |v - v_ref| = {mp.nstr(diff, 3)} exceeds "
+        f"est_error {mp.nstr(res.est_error, 3)} (ratio {mp.nstr(diff / res.est_error, 4)})"
+    )
+
+
 def test_direct_value_does_not_depend_on_the_block_size(monkeypatch):
     # moves the seams between the exact block, the edge strips and the corner;
     # at real s the remainders are sign-definite and bounded by the first
@@ -678,6 +709,24 @@ def test_mb_refuses_points_where_its_claim_fails(s):
     mp.dps = 60
     with pytest.raises(ValueError, match='method="direct"'):
         omega_result(s, method="mb")
+
+
+def test_mb_refuses_heights_its_zeta_lines_cannot_afford():
+    # the contour runs to about |Im s| with step 0.5, and the 2s + c line of
+    # the half whose |Im| grows reaches about 3 |Im s|: past the zeta cutoff
+    # cap the route refuses before any line is built.  Unrefused,
+    # 0.8 + 10^8 i would ask for about 2 10^8 Gamma values
+    for dps in (30, 60, 150):
+        mp.dps = dps
+        for s, method in [(mpc("0.8", "1e8"), "auto"), (mpc("-2.3", "6000"), "mb")]:
+            times = []
+            for _ in range(2):  # the better of two, clear of a scheduling hiccup
+                start = time.perf_counter()
+                with pytest.raises(ValueError, match="continuation's zeta lines.*cutoff"):
+                    omega_result(s, method=method)
+                times.append(time.perf_counter() - start)
+            assert min(times) < 0.1, (dps, s, times)
+    mp.dps = 60
 
 
 def test_mb_keeps_the_overlap_strip_and_the_real_axis_to_21():
