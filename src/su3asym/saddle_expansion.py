@@ -242,11 +242,10 @@ def nu_coeff(m: int):
     """The explicit expansion coefficient nu_m (see module docstring).
 
     zeta(m + 1/2) and zeta(3m + 7/2) are the two nodes of one row of the
-    package's Euler-Maclaurin kernel, ``_zeta_line(m + 1/2, 2m + 3, 1)``
-    (an integer step, so its power table is exact), run 15 digits above the
-    working precision: the kernel's remainder target 10^-(digits - 10) lies
-    5 digits below the last of nu_m, which is rounded to the working
-    precision.
+    package's Euler-Maclaurin kernel, ``_zeta_line(m + 1/2, 2m + 3, 1)``,
+    run 15 digits above the working precision: the kernel's remainder target
+    10^-(digits - 10) lies 5 digits below the last of nu_m, which is rounded
+    to the working precision.
     """
     if m < 0:
         raise ValueError("m must be a nonnegative integer")

@@ -92,7 +92,7 @@ saddle constants' half-integer rows, zeta(1/2) and zeta(3/2) with d = 1 and
 zeta(m + 1/2) and zeta(3m + 7/2) with d = 2m + 3; a single node, d = 0, such
 as their zeta(5/3)) from a start index a of its partial sum
 (zeta(x, a), DLMF 25.11), with power tables built from one exp(-x ln p) per
-prime, or exactly for an integer step, and its Bernoulli coefficients from
+prime and stepped from node to node, and its Bernoulli coefficients from
 one exact table per process.  Its depth follows Johansson's remainder bound
 (Numer. Algorithms 2015), which treats Hurwitz zeta alike.
 
@@ -285,14 +285,14 @@ def _direct_eval(s):
     # coefficients c_q of (1 + u/P)^(-s) (1 + u/(j+P))^(-s),
     #   c_q = sum_i beta_i beta_(q-i) P^(-i) (j+P)^(-(q-i)),  beta_i = binom(-s, i),
     # a polynomial in y = 1/(j+P).  Each table is the coefficient list of one
-    # power of (1 + c1 u + c2 u^2)^(-s).
+    # power of (1 + c1 u + c2 u^2)^(-s), at_P that of (1 + u/P)^(-s).
 
     def taylor(c1, c2=0):
         """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(2R+1)."""
         return PowerSeries([mpf(1), c1, c2] + [0] * (2 * R - 1)).pow_real(-s).coeffs
 
     beta = taylor(mpf(1))
-    at_P = taylor(1 / mpf(P))
+    at_P = [b / mpf(P) ** i for i, b in enumerate(beta)]
     # refusals priced before any table is built: the rows' first omitted
     # Euler-Maclaurin terms B_(2R+2)/(2R+2) c_(2R+1) |pj base| leave no digit
     # from 1 on, as |omega(s)| <= omega(1.1) < 1.7; they fall like
@@ -465,18 +465,20 @@ def _pfaff_value(table, num, den, W):
 # contour affordable at 30+ digits:
 #
 # * the tables n^(-a0) and n^(-d) are built by complete multiplicativity: one
-#   exp(-x ln p) per prime p <= N, one fixed-point product per composite (an
-#   integer step's table is exact);
+#   exp(-x ln p) per prime p <= N, one fixed-point product per composite, an
+#   integer step's table too;
 # * the n^(-k d) factors of the partial sum advance multiplicatively from node
 #   to node instead of being re-exponentiated;
 # * the per-node work -- the power table and its partial sum and the
 #   Euler-Maclaurin corrections -- runs in fixed point: x + iy is the pair of
-#   Python integers (x 2^W, y 2^W), with W = wp + _FIX_GUARD.  Products are
-#   integer multiply-and-shift.
+#   Python integers (x 2^W, y 2^W), with W = wp + _FIX_GUARD and a bit more
+#   per doubling of a line past 256 nodes.  Products are integer
+#   multiply-and-shift.
 #
 # Fixed-point values carry an absolute error of a few units of 2^-W per
-# operation; the guard bits absorb the drift of 255 stepped nodes between
-# two resynchronisations of the power table.  Left of Re(x) = 1 the partial
+# operation, and a stepped table adds its step's rounding at every node; the
+# guard bits absorb the drift of 255 stepped nodes, and a longer line takes
+# one more bit per doubling of its length.  Left of Re(x) = 1 the partial
 # sum reaches N^(1 - Re x) and cancels down to zeta, and a path stepping left
 # from Re(a0) > 1 multiplies the table n^(-a0), whose entries lie far below 1,
 # by up to N^(Re a0 - Re x), and with it their absolute rounding; so wp is the
@@ -511,9 +513,7 @@ def _power_tables(xs, N, W):
     """For each x of xs the fixed-point table [n^(-x) for n = 1..N] as two
     lists (real parts, imaginary parts), entry n - 1 for n.
 
-    An integer x (the steps d = 0, +-1, 2 of the kernel's rows and single
-    nodes) takes each entry as the exact rational n^(-x) rounded once, so
-    within half a unit of 2^-W.  Any other x goes by complete
+    Every x, an integer step of the kernel's rows included, goes by complete
     multiplicativity: n^(-x) = exp(-x ln n) at a prime n, evaluated to
     relative 2^-(W+8) and rounded, and p^(-x) (n/p)^(-x), rounded, at a
     composite n with least prime factor p.  Each rounding moves an entry by
@@ -521,13 +521,8 @@ def _power_tables(xs, N, W):
     (relative to max(1, |n^(-x)|), since |p^(-x)| is <= 1 for every p or
     >= 1 for every p), so an entry is within sqrt(2) Omega(n) units of
     2^-W max(1, |n^(-x)|) of n^(-x), Omega(n) the number of prime factors of
-    n with multiplicity."""
-    def exact(q):
-        if q < 0:
-            return [n**-q << W for n in range(1, N + 1)], [0] * N
-        return [((1 << W + 1) + n**q) // (2 * n**q) for n in range(1, N + 1)], [0] * N
-
-    stepped = [x for x in xs if not mp.isint(x)]
+    n with multiplicity.  A real x, an mpc with imaginary part 0 included,
+    gives imaginary parts exactly 0."""
     spf = list(range(N + 1))  # least prime factor
     for p in range(2, math.isqrt(N) + 1):
         if spf[p] == p:
@@ -535,15 +530,15 @@ def _power_tables(xs, N, W):
                 if spf[m] == m:
                     spf[m] = p
     # the exponent -x ln n carries |x| ln N in front of its rounding
-    cond = int(max((abs(x) for x in stepped), default=0) * math.log(N)) + 1
+    cond = int(max(abs(x) for x in xs) * math.log(N)) + 1
     half = 1 << (W - 1)
-    tables = [([1 << W], [0]) for _ in stepped]
+    tables = [([1 << W], [0]) for _ in xs]
     with mp.workprec(W + 8 + cond.bit_length()):
         for n in range(2, N + 1):
             p = spf[n]
             if p == n:
                 ln_n = mp.ln(n)
-                for (re, im), x in zip(tables, stepped):
+                for (re, im), x in zip(tables, xs):
                     r, i = _fix(mp.exp(-x * ln_n), W)
                     re.append(r)
                     im.append(i)
@@ -552,8 +547,7 @@ def _power_tables(xs, N, W):
                     a, b, c, e = re[p - 1], im[p - 1], re[n // p - 1], im[n // p - 1]
                     re.append((a * c - b * e + half) >> W)
                     im.append((a * e + b * c + half) >> W)
-    tables = iter(tables)
-    return [exact(int(mp.re(x))) if mp.isint(x) else next(tables) for x in xs]
+    return tables
 
 
 def _bernoulli_over_factorial(depth):
@@ -661,14 +655,16 @@ def _zeta_line(a0, d, K, a=1):
     Re a0 > 1 grows its first table's absolute rounding by up to
     N^(Re a0 - sigma), so the kernel works with
     ceil((max(1, Re a0) - sigma) log2 N) bits over the working precision.  The
-    tables n^(-a0) and n^(-d) for n <= N come from _power_tables; the first is
-    advanced by the second per node and recomputed from scratch every 256
-    nodes.  A path on the real axis gives mpf values, any other mpc.
+    tables n^(-a0) and n^(-d) for n <= N come from _power_tables, and the
+    first is advanced by the second at every node; the fixed-point guard
+    grows by max(0, bit_length(K) - 8) bits, so that the drift of a line of
+    any length stays within what 255 stepped nodes carry at _FIX_GUARD.  A
+    path on the real axis gives mpf values, any other mpc.
     """
     a0, d = _to_mp(a0), _to_mp(d)
     N, depth, sigma = _em_plan(a0, d, K, a)
     wp = mp.prec + max(0, math.ceil((max(1.0, float(mp.re(a0))) - sigma) * math.log2(N)))
-    W = wp + _FIX_GUARD
+    W = wp + _FIX_GUARD + max(0, K.bit_length() - 8)
     one = 1 << W
 
     (tre, tim), (sre, sim) = _power_tables([a0, d], N, W)
@@ -705,16 +701,10 @@ def _zeta_line(a0, d, K, a=1):
         vi = sum(tim) - pi + ((pr * ci + pi * cr) >> W)
         out.append(_unfix(vr, vi, W))
         if k < K:
-            if (k + 1) % 256 == 0:  # resync the stepped table against drift
-                with mp.workprec(W):  # the node's rounding enters every term
-                    x = a0 + (k + 1) * d
-                ((tre, tim),) = _power_tables([x], N, W)
-                tre, tim = tre[a - 1 :], tim[a - 1 :]
-            else:
-                tre, tim = (
-                    [(tr * sr - ti * si) >> W for tr, ti, sr, si in zip(tre, tim, sre, sim)],
-                    [(tr * si + ti * sr) >> W for tr, ti, sr, si in zip(tre, tim, sre, sim)],
-                )
+            tre, tim = (
+                [(tr * sr - ti * si) >> W for tr, ti, sr, si in zip(tre, tim, sre, sim)],
+                [(tr * si + ti * sr) >> W for tr, ti, sr, si in zip(tre, tim, sre, sim)],
+            )
     if mp.im(a0) == 0 and mp.im(d) == 0:
         return [v.real for v in out]
     return out

@@ -326,6 +326,13 @@ def test_residual_bad_z(capsys):
     assert "Re(z)" in err
 
 
+def test_residual_rejects_a_point_of_three_parts(capsys):
+    rc, out, err = run(capsys, "residual", "--z", "1,2,3", "--eta", "2.25")
+    assert rc == 2
+    assert out == ""
+    assert "expected RE or RE,IM, got '1,2,3'" in err
+
+
 def test_prec_floor_enforced(capsys):
     rc, _, err = run(capsys, "constants", "--prec", "10")
     assert rc == 2

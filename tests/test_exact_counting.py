@@ -301,6 +301,11 @@ def test_p_exact_known_values():
     assert p_exact(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 
 
+def test_hr_estimate_refuses_a_nonpositive_n():
+    with pytest.raises(ValueError, match="n must be positive"):
+        hr_estimate(0)
+
+
 def test_hr_estimate_brackets_p500():
     mp.dps = 30
     p500 = p_exact(500)[-1]

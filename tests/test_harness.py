@@ -29,6 +29,20 @@ def test_big_A_input_guard():
         big_A(0)
 
 
+@pytest.mark.parametrize(
+    "n_list, L_max, match",
+    [
+        ([], 1, "must not be empty"),
+        ([0, 5], 1, "all n must be positive integers"),
+        ([5], -1, "L_max must be a nonnegative integer"),
+    ],
+    ids=["empty", "zero-n", "negative-L"],
+)
+def test_compare_table_refuses_bad_input(n_list, L_max, match):
+    with pytest.raises(ValueError, match=match):
+        compare_table(n_list, L_max)
+
+
 def test_compare_table_ratio_close_to_exact_at_ten_thousand():
     (row,) = [row for row in compare_table([10000], 2).rows if row.L == 2]
     assert mpf("0.98") < row.ratio < mpf("1.0")

@@ -101,6 +101,22 @@ def test_saddle_series_residual_vanishes(saddle_residual_max):
     assert saddle_residual_max(25) < mpf("1e-80")
 
 
+@pytest.mark.parametrize(
+    "build, arg, match",
+    [
+        (saddle_series, 0, "order must be a positive integer"),
+        (nu_coeff, -1, "m must be a nonnegative integer"),
+        (laurent_main, 0, "order must be a positive integer"),
+        (expansion_polys, 0, "M must be a positive integer"),
+        (c_constants, -1, "L must be a nonnegative integer"),
+    ],
+    ids=["saddle_series", "nu_coeff", "laurent_main", "expansion_polys", "c_constants"],
+)
+def test_orders_below_the_range_are_refused(build, arg, match):
+    with pytest.raises(ValueError, match=match):
+        build(arg)
+
+
 def test_saddle_series_order_guard():
     with pytest.raises(ValueError):
         saddle_series(MAX_SADDLE_ORDER + 1)

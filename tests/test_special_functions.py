@@ -116,6 +116,8 @@ def test_bernoulli_numbers():
     }
     for n, want in known.items():
         assert bernoulli_fraction(n) == want
+    with pytest.raises(ValueError, match="Bernoulli index must be nonnegative"):
+        bernoulli_fraction(-1)
 
 
 def test_inputs_of_every_accepted_type_give_the_same_value():
