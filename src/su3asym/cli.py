@@ -45,7 +45,7 @@ from dataclasses import fields
 from mpmath import mp, mpc, mpf
 
 from .exact_counting import EXACT_LIMIT, FLOAT64_LIMIT, r_exact, r_exact_via_exp
-from .harness import _validate_eta, asymptotic_log_G, compare_table, log_G_direct
+from .harness import asymptotic_log_G, compare_table, log_G_direct
 from .precision import DEFAULT_DIGITS, MIN_DIGITS, set_working_digits, working_digits
 from .saddle_expansion import c_constants, constants
 from .witten_zeta import WittenZetaPoleError, omega_result, trivial_zeros, verify_zeta_identity
@@ -198,9 +198,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    z, eta = args.z, _validate_eta(args.eta)  # before the direct sum, which checks z
+    z, eta = args.z, args.eta
+    asym = asymptotic_log_G(z, eta)  # checks z and eta before the direct sum
     direct = log_G_direct(z)
-    asym = asymptotic_log_G(z, eta)
     res = abs(direct - asym)
     payload = {
         "z": _complex_pair(z),

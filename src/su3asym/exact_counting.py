@@ -16,9 +16,9 @@ Everything here but the float64 fallback is exact integer arithmetic:
 
 * :func:`su3_parts` enumerates (d, mult(d)) up to a limit,
 * :func:`r_exact` runs the Euler-product DP ``_euler_product`` on them in
-  exact integers, held as uint64 limb planes of 48-bit digits, one sweep
-  per factor, largest parts first after d = 1, with deferred carries (with
-  a guard cap on the range),
+  exact integers, held as a stack of uint64 limb planes of 48-bit digits
+  that grows as its carries need, one sweep per factor, largest parts
+  first after d = 1, with deferred carries (with a guard cap on the range),
 * :func:`r_exact_via_exp` recomputes r(n) through exp(log G) by the
   integer recurrence n r(n) = sum_k sigma(k) r(n-k) — an algorithmically
   independent route used by the CLI ``--oracle-check`` and the tests,
@@ -31,13 +31,12 @@ Everything here but the float64 fallback is exact integer arithmetic:
 
 from __future__ import annotations
 
-import math
 import operator
 
 from mpmath import mp, mpf
 
 # r_exact and p_exact refuse ranges beyond this.  At the cap the limb-plane
-# DP takes about 0.5-0.75 s and 12 planes of 50,001 uint64 limbs (4.8 MB;
+# DP takes about 0.5-0.75 s and 11 planes of 50,001 uint64 limbs (4.4 MB;
 # r(50000) has 515 bits), four times its time at 20,000; beyond it callers
 # want the float64 route.
 EXACT_LIMIT = 50_000
@@ -106,26 +105,13 @@ def _sweep(v, d: int) -> None:
     v[..., rows * d :] += v[..., last : last + tail]
 
 
-def _planes_needed(parts, limit: int) -> int:
-    """How many limb planes hold every coefficient of the DP up to q^limit.
-
-    For any 0 < x < 1, each coefficient up to q^limit of the product, and of
-    every partial product the DP passes through, is at most
-    x^-limit prod (1 - x^d)^-mult.  Here x = e^-t at t = (5.31/limit)^0.6,
-    the saddle point of limit t + 7.97 t^(-2/3), whose last term leads
-    log G(e^-t).  The bound lies 14-26 bits above log2 r(limit) for limit
-    600..50000.
-    """
-    t = (5.31 / max(limit, 1)) ** 0.6
-    log_bound = limit * t - sum(mult * math.log(-math.expm1(-t * d)) for d, mult in parts)
-    return math.ceil((log_bound / math.log(2) + 1) / _LIMB_BITS)
-
-
-def _carry(planes, used: int) -> int:
+def _carry(planes) -> None:
     """Ripple every limb's bits above _LIMB_BITS into the next plane.
 
-    Afterwards every limb is below 2^_LIMB_BITS.  Returns the planes now in
-    use; raises OverflowError if a carry would leave the top plane.
+    Afterwards every limb is below 2^_LIMB_BITS.  When the top plane
+    carries, the stack grows by one zero plane in place (``ndarray.resize``
+    zero-fills; ``np.resize`` would repeat the data).  The new plane may
+    move the buffer, so no view of ``planes`` may be held across a call.
     """
     import numpy as np
 
@@ -135,12 +121,10 @@ def _carry(planes, used: int) -> int:
     while True:
         high = planes[k] >> width
         planes[k] &= mask
-        if k + 1 == used:
+        if k + 1 == len(planes):
             if not high.any():
-                return used
-            if used == len(planes):
-                raise OverflowError(f"exact count needs more than {used} limb planes")
-            used += 1
+                return
+            planes.resize((k + 2, planes.shape[1]), refcheck=False)
         planes[k + 1] += high
         k += 1
 
@@ -161,39 +145,42 @@ def _euler_product(parts, limit: int) -> list[int]:
     to EXACT_LIMIT only d = 1 is that long, and it comes first, before any
     carry.  The other factors then run from the largest d down (``parts``
     come ascending in d); the exact product does not depend on the order.
-    Only the planes in use are swept, so the thousands of long-d sweeps run
-    while the counts are still short: at limit 20,000 on 1.3 of 8 planes on
-    average.  Run first, the short-d sweeps would fill nearly all 8 before
-    them.  They come last instead, a few dozen running sums per plane.
+    The stack starts as one plane and :func:`_carry` adds one whenever the
+    top plane carries, so every sweep covers only the planes the counts
+    have reached and the thousands of long-d sweeps run while the counts
+    are still short: at limit 20,000 on 1.3 of 8 planes on average.  Run
+    first, the short-d sweeps would fill nearly all 8 before them.  They
+    come last instead, a few dozen running sums per plane.
     """
     import numpy as np  # here, so that importing the CLI does not load numpy
 
-    planes = np.zeros((_planes_needed(parts, limit), limit + 1), dtype=np.uint64)
+    planes = np.zeros((1, limit + 1), dtype=np.uint64)
     planes[0, 0] = 1
-    used, bound = 1, 1  # planes that may hold nonzero limbs; a bound on every limb
+    bound = 1  # a bound on every limb
     for d, mult in parts[:1] + parts[:0:-1]:
         growth = (limit + 1) // d + 1
         for _ in range(mult):
             if bound * growth >= 2**63:
-                bound = int(planes[:used].max())
+                bound = int(planes.max())
             if bound * growth >= 2**63:
-                used, bound = _carry(planes, used), (1 << _LIMB_BITS) - 1
+                _carry(planes)
+                bound = (1 << _LIMB_BITS) - 1
                 if bound * growth >= 2**63:
                     raise OverflowError(
                         f"a sweep by {d} to q^{limit} does not fit in {_LIMB_BITS}-bit limbs"
                     )
             bound *= growth
-            _sweep(planes[0] if used == 1 else planes[:used], d)
-    used = _carry(planes, used)
+            _sweep(planes, d)
+    _carry(planes)
 
     # Each count's limbs, low _LIMB_BITS bits of each, as little-endian bytes.
     size = _LIMB_BITS // 8
-    packed = np.empty((limit + 1, used, size), dtype=np.uint8)
-    for k in range(used):
+    packed = np.empty((limit + 1, len(planes), size), dtype=np.uint8)
+    for k in range(len(planes)):
         packed[:, k] = planes[k].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :size]
     del planes
     data = memoryview(packed).cast("B")
-    nbytes = used * size
+    nbytes = packed.shape[1] * size
     return [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
 

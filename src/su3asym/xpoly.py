@@ -96,17 +96,3 @@ class XPolynomial:
     def __truediv__(self, scalar):
         return XPolynomial([c / scalar for c in self.coeffs])
 
-    # -- display -----------------------------------------------------------
-
-    def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0 and len(self.coeffs) > 1:
-                continue
-            if k == 0:
-                terms.append(f"{c}")
-            elif k == 1:
-                terms.append(f"({c})*x")
-            else:
-                terms.append(f"({c})*x^{k}")
-        return "XPolynomial(" + " + ".join(terms) + ")"

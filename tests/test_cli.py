@@ -300,14 +300,19 @@ def test_residual_at_a_point_with_zero_imaginary_part_is_the_real_point(capsys):
 
 
 def test_residual_checks_eta_before_the_direct_sum(capsys, monkeypatch):
+    # and z: the direct sum at a point outside the cone takes seconds
     def no_direct_sum(z):
-        raise AssertionError("log_G_direct ran for an eta the expansion refuses")
+        raise AssertionError("log_G_direct ran for an input the expansion refuses")
 
     monkeypatch.setattr(cli, "log_G_direct", no_direct_sum)
-    rc, out, err = run(capsys, "residual", "--z", "0.05", "--eta", "1.5")
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: eta = 1.5 is a half-integer")
+    for z, eta, error in [
+        ("0.05", "1.5", "error: eta = 1.5 is a half-integer"),
+        ("0.000001,0.0001", "2.25", "error: z must lie in the cone"),
+    ]:
+        rc, out, err = run(capsys, "residual", "--z", z, "--eta", eta)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(error)
 
 
 def test_importing_the_cli_does_not_load_numpy():
@@ -323,7 +328,7 @@ def test_importing_the_cli_does_not_load_numpy():
 def test_residual_bad_z(capsys):
     rc, _, err = run(capsys, "residual", "--z", "-0.1", "--eta", "1.25")
     assert rc == 2
-    assert "Re(z)" in err
+    assert "z must lie in the cone" in err
 
 
 def test_residual_rejects_a_point_of_three_parts(capsys):

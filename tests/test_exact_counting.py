@@ -84,7 +84,7 @@ def test_r_exact_matches_per_cell_sweep_property(limit):
 @given(st.integers(min_value=0, max_value=600))
 @example(600)
 def test_r_exact_with_8_bit_limbs_matches_per_cell_sweep(limit):
-    # Narrow limbs give up to 9 planes, through which the final carry
+    # Narrow limbs give up to 8 planes, through which the final carry
     # ripples.  The limbs are carried only once their largest value could
     # pass 2^63 in the next sweep, so a carry falls among the sweeps only
     # from limit 560 on; 600 always runs
@@ -121,14 +121,24 @@ def test_no_limb_reaches_two_to_the_63_after_any_sweep(monkeypatch):
     p_exact(5000)
 
 
-def test_r_exact_raises_when_a_carry_would_leave_the_top_plane(monkeypatch):
-    # r(5000) has 177 bits: three 48-bit planes, one fewer than it needs,
-    # cannot hold it, and a carry during the short-d sweeps finds the top
-    # plane full
-    assert r_exact(5000)[-1].bit_length() > exact_counting._LIMB_BITS * 3
-    monkeypatch.setattr(exact_counting, "_planes_needed", lambda parts, limit: 3)
-    with pytest.raises(OverflowError):
-        r_exact(5000)
+@pytest.mark.parametrize("limit, limb_bits, planes", [(5000, 48, 4), (20000, 48, 8), (600, 8, 8)])
+def test_carries_grow_the_stack_to_the_planes_the_count_needs(
+    monkeypatch, limit, limb_bits, planes
+):
+    # The stack starts as one plane and grows only when its top plane
+    # carries, so after the last carry it holds exactly the planes that
+    # r(limit), the largest count, needs, and its top plane is nonzero
+    carry = exact_counting._carry
+    stacks = []
+
+    def recorded(v):
+        carry(v)
+        stacks.append((len(v), bool(v[-1].any())))
+
+    monkeypatch.setattr(exact_counting, "_LIMB_BITS", limb_bits)
+    monkeypatch.setattr(exact_counting, "_carry", recorded)
+    bits = r_exact(limit)[-1].bit_length()
+    assert stacks[-1] == (-(-bits // limb_bits), True) == (planes, True)
 
 
 @settings(max_examples=25, deadline=None)

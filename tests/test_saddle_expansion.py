@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -20,6 +22,7 @@ from su3asym.saddle_expansion import (
     nu_coeff,
     saddle_series,
 )
+from su3asym.series import PowerSeries
 from su3asym.special_functions import gamma_complex, zeta_complex
 from su3asym.witten_zeta import omega_residue
 from su3asym.xpoly import XPolynomial
@@ -194,6 +197,44 @@ def test_laurent_positive_part_degree_bounds():
     lm = laurent_main(8)
     for ell in range(1, 8):
         assert lm.coeff(ell).effective_degree(mpf("1e-40")) <= (ell + 4) // 2
+
+
+_POLY_SERIES_B = saddle_expansion._poly_series_B
+
+
+def _B_with_x4_at_z6(order, X, Y):
+    """_poly_series_B with an extra x^4 z^6, above the degree its ladders allow."""
+    B = _POLY_SERIES_B(order, X, Y)
+    coeffs = list(B.coeffs)
+    coeffs[6] = coeffs[6] + XPolynomial([0, 0, 0, 0, 1])
+    return PowerSeries(coeffs, B.valuation, B.order)
+
+
+def test_laurent_main_refuses_constants_off_their_closed_form(monkeypatch):
+    cst = constants()
+    bent = dataclasses.replace(cst, A3=cst.A3 * (1 + mpf("1e-30")))
+    monkeypatch.setitem(saddle_expansion._CONSTANTS_CACHE, mp.dps, bent)
+    with pytest.raises(RuntimeError, match=r"z\^-2 deviates from its closed form"):
+        laurent_main(6)
+
+
+def test_laurent_main_refuses_a_coefficient_above_its_degree_bound(monkeypatch):
+    # the expression is stationary in B at B = S, so x^4 z^6 leaves z^2 alone
+    # and first shows at z^4, times the i x z^2 of B
+    monkeypatch.setattr(saddle_expansion, "_poly_series_B", _B_with_x4_at_z6)
+    with pytest.raises(RuntimeError, match=r"z\^4 has degree 5, above the bound 4"):
+        laurent_main(6)
+
+
+def test_expansion_polys_refuse_a_ladder_above_its_degree_bound(monkeypatch):
+    # the true Laurent series, so that only the ladder p3 = B^(-1/3) sees the
+    # bent B; p1 reads B only through z^3
+    true_laurent = laurent_main(6)
+    monkeypatch.setattr(saddle_expansion, "laurent_main", lambda order: true_laurent)
+    monkeypatch.setattr(saddle_expansion, "_poly_series_B", _B_with_x4_at_z6)
+    monkeypatch.setattr(saddle_expansion, "_LADDER_CACHE", {})
+    with pytest.raises(RuntimeError, match=r"p3\[6\] has degree 4"):
+        expansion_polys(6)
 
 
 def test_ladder_shapes_and_units():
