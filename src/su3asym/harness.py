@@ -29,8 +29,9 @@ Provided operations:
                           - sum_{j<=L} C_j n^(-j/10) and fitted decay
                           exponents of |R_L| across the sample points;
                           r(n) is counted exactly up to EXACT_LIMIT = 50000
-                          and in float64 beyond, which overflows (raising
-                          OverflowError) beyond FLOAT64_LIMIT = 234312.
+                          and in float64 beyond; an n beyond
+                          FLOAT64_LIMIT = 234312 raises OverflowError
+                          before any count.
 """
 
 from __future__ import annotations
@@ -213,12 +214,10 @@ def asymptotic_log_G(z, eta):
             - logz / 3
             + mp.log(16 * mp.pi**3) / 3
         )
-        m_top = int(mp.floor(eta - mpf(1) / 2))
-        if m_top >= 0:
-            tail = mpf(0)
-            for m in range(m_top, -1, -1):
-                tail = tail * zz + nu_coeff(m)
-            out += mp.exp(logz / 2) * tail
+        tail = mpf(0)  # eta > 1/2, so the sum has the term m = 0 at least
+        for m in range(int(mp.floor(eta - mpf(1) / 2)), -1, -1):
+            tail = tail * zz + nu_coeff(m)
+        out += mp.exp(logz / 2) * tail
         out = +out
     return out
 
@@ -244,14 +243,14 @@ def _log_r_values(n_list):
     exact_ns = [n for n in n_list if n <= EXACT_LIMIT]
     large_ns = [n for n in n_list if n > EXACT_LIMIT]
     out = {}
+    if large_ns:  # first, so that its refusal beyond FLOAT64_LIMIT precedes any count
+        logs = log_r_float64(max(large_ns))
+        for n in large_ns:
+            out[n] = (mpf(float(logs[n])), "float64")
     if exact_ns:
         r = r_exact(max(exact_ns))
         for n in exact_ns:
             out[n] = (mp.log(mpf(r[n])), "exact")
-    if large_ns:
-        logs = log_r_float64(max(large_ns))
-        for n in large_ns:
-            out[n] = (mpf(float(logs[n])), "float64")
     return out
 
 
@@ -264,7 +263,7 @@ def compare_table(n_list, L_max: int) -> ComparisonTable:
     fitted (None with fewer than three points).  The count is exact for
     n <= EXACT_LIMIT and float64 beyond (the row's ``source`` says which);
     an n beyond FLOAT64_LIMIT = 234312, where r(n) exceeds float64's range,
-    raises OverflowError.
+    raises OverflowError before any count or constant is computed.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list:
@@ -274,8 +273,8 @@ def compare_table(n_list, L_max: int) -> ComparisonTable:
     if L_max < 0:
         raise ValueError("L_max must be a nonnegative integer")
     prec = working_digits()
-    cs = c_constants(L_max)
     log_r = _log_r_values(n_list)
+    cs = c_constants(L_max)
     rows = []
     residuals = {L: [] for L in range(L_max + 1)}
     with mp.workdps(prec + 10):

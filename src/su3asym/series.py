@@ -7,11 +7,10 @@ consistently, so the order of a result is always a guaranteed bound on what is
 actually known.  Valuations may be negative (Laurent tails), produced with
 :meth:`PowerSeries.shift`.
 
-This is the package's one series kernel.  Coefficients are mpmath
-``mpf``/``mpc`` values (the direct omega route's Taylor tables, each one
-``pow_real``), :class:`~su3asym.xpoly.XPolynomial` polynomials with such
-coefficients (the saddle pipeline), or ``Fraction`` values, which stay exact
-through every operation here (the exact tests).  The series x is
+This is the package's one series kernel.  Coefficients are
+:class:`~su3asym.xpoly.XPolynomial` polynomials with mpmath coefficients (the
+saddle pipeline), mpmath ``mpf``/``mpc`` values, or ``Fraction`` values, which
+stay exact through every operation here (the exact tests).  The series x is
 ``constant(1, order - 1).shift(1)``.  Missing coefficients read as the int 0.
 
 The analytic operations follow the classical O(n^2) recurrences:

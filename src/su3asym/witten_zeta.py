@@ -33,8 +33,7 @@ Two independent evaluation routes are provided and cross-checked:
   values are one row of the package's zeta kernel (below).  Valid for
   Re(s) >= 1.1, where |omega(s)| <= omega(1.1) < 1.7; a point whose rows'
   first omitted Euler-Maclaurin terms reach 1, a claim that leaves no digit
-  (from about 1.5 + 805i up), or with |Im s| beyond about 5000 (the corner's
-  cutoff _ZETA_CUTOFF_MAX) is refused before any table is built.
+  (from about 1.5 + 805i up), is refused before any table is built.
 
 * the Mellin-Barnes continuation (``method="mb"``)
 
@@ -79,10 +78,7 @@ Two independent evaluation routes are provided and cross-checked:
 
   The route refuses, pointing to the direct route, where its error claim
   failed against that route at 30, 60 and 150 digits: it accepts
-  Re(s) <= 9, and real s up to Re(s) = 21.  Its contour's zeta lines reach
-  about 3 |Im s|, so like the direct route it refuses |Im s| beyond about
-  5000, whose lines would need a cutoff past _ZETA_CUTOFF_MAX, before any
-  line is built.
+  Re(s) <= 9, and real s up to Re(s) = 21.
 
 Every zeta value that omega sums, and every one of the saddle constants
 (:mod:`su3asym.saddle_expansion`), comes from one fixed-point Euler-Maclaurin
@@ -94,7 +90,10 @@ as their zeta(5/3)) from a start index a of its partial sum
 (zeta(x, a), DLMF 25.11), with power tables built from one exp(-x ln p) per
 prime and stepped from node to node, and its Bernoulli coefficients from
 one exact table per process.  Its depth follows Johansson's remainder bound
-(Numer. Algorithms 2015), which treats Hurwitz zeta alike.
+(Numer. Algorithms 2015), which treats Hurwitz zeta alike.  Its planner,
+``_em_plan``, refuses a path whose cutoff, about 0.32 |Im|, would pass
+_ZETA_CUTOFF_MAX terms; both routes price their longest path, which reaches
+about 3 |Im s|, with it before building any table.
 
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
@@ -107,14 +106,14 @@ and length) is fixed or derived from the working precision.
 
 Each route runs at the precision its error budget needs, and ``est_error``,
 not the working precision, says what a value carries.  The continuation's
-quadrature targets an absolute error of 10^-(D+4), D = max(10, ceil(dps/3)),
+quadrature targets an absolute error of 10^-(D+4), D = ceil(dps/3) >= 10,
 at D + 14 digits; its finite part runs at D + 24 digits plus a bump near the
 integers and 2 log10(|s| + 2) guard digits, so that its rounding stays at
 least 8 orders below the quadrature's, and its two zeta rows 2 digits above
 that, so that the kernel's target 10^-(digits - 10) stays under the finite
 part's rounding allowance.  Near an integer the arguments 2s - 1 and 1 - s of
 Gamma are formed exactly.  The direct route runs at
-max(30, dps/2 + 18) + 10 + 2 log10(|s| + 2) digits; its block, edge strips,
+dps/2 + 28 + 2 log10(|s| + 2) digits; its block, edge strips,
 correction polynomials and tail series run in fixed point with 30 guard
 bits over that precision (more where the corrections grow with |s|), whose
 rounding stays far inside its allowance of 10^4 units in the last place per
@@ -132,7 +131,6 @@ from operator import add, mul
 from mpmath import mp, mpc, mpf
 
 from .precision import working_digits
-from .series import PowerSeries
 from .special_functions import (
     _to_mp,
     bernoulli_fraction,
@@ -163,8 +161,7 @@ _DIRECT_P = 128
 _DIRECT_R = 12
 # Direct route: fixed-point guard bits of its rows.
 _DIRECT_GUARD = 30
-# Both routes: the most terms of a zeta row's partial sum, the direct route's
-# corner row and the continuation's contour lines; either refuses beyond it.
+# The most terms of a zeta row's partial sum; _em_plan refuses a row beyond it.
 _ZETA_CUTOFF_MAX = 5000
 # Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
 # zeta line; higher precisions and lines far left take more (see _zeta_line).
@@ -232,7 +229,7 @@ def _direct_result(s0) -> OmegaResult:
             "threshold 1.1; use continuation"
         )
     guard = 10 + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
-    wd = max(30, prec // 2 + 18) + guard
+    wd = prec // 2 + 18 + guard
     with mp.workdps(wd):
         value, est = _direct_eval(+s0)
     value = +value
@@ -284,20 +281,17 @@ def _direct_eval(s):
     # the Euler-Maclaurin tail of k > P.  The corrections need the odd Taylor
     # coefficients c_q of (1 + u/P)^(-s) (1 + u/(j+P))^(-s),
     #   c_q = sum_i beta_i beta_(q-i) P^(-i) (j+P)^(-(q-i)),  beta_i = binom(-s, i),
-    # a polynomial in y = 1/(j+P).  Each table is the coefficient list of one
-    # power of (1 + c1 u + c2 u^2)^(-s), at_P that of (1 + u/P)^(-s).
-
-    def taylor(c1, c2=0):
-        """Coefficients of (1 + c1 u + c2 u^2)^(-s) through u^(2R+1)."""
-        return PowerSeries([mpf(1), c1, c2] + [0] * (2 * R - 1)).pow_real(-s).coeffs
-
-    beta = taylor(mpf(1))
+    # a polynomial in y = 1/(j+P); beta_i = (1 - s - i) beta_(i-1) / i, and
+    # at_P the coefficients of (1 + u/P)^(-s).
+    beta = [mpf(1)]
+    for i in range(1, 2 * R + 2):
+        beta.append(((1 - s) - i) * beta[-1] / i)
     at_P = [b / mpf(P) ** i for i, b in enumerate(beta)]
     # refusals priced before any table is built: the rows' first omitted
     # Euler-Maclaurin terms B_(2R+2)/(2R+2) c_(2R+1) |pj base| leave no digit
     # from 1 on, as |omega(s)| <= omega(1.1) < 1.7; they fall like
     # (P (P+1))^(-sigma), so the cutoff N of the corner's zeta row, about
-    # |Im s|, is capped too.  c_(2R+1) is a polynomial in y
+    # |Im s|, is capped too (by _em_plan).  c_(2R+1) is a polynomial in y
     V = mp.prec + _DIRECT_GUARD
     ly = [_fix(beta[m] * at_P[2 * R + 1 - m], V) for m in range(2 * R + 2)]
     with mp.workprec(64):
@@ -311,12 +305,7 @@ def _direct_eval(s):
             f"the direct route's truncation estimate at s = {mp.nstr(s, 8)} is {mp.nstr(est, 3)}, "
             "while |omega(s)| <= omega(1.1) < 1.7 for Re(s) >= 1.1: the value would carry no digit"
         )
-    N = _em_plan(3 * s - 1, 2, R + 1, P + 1)[0]
-    if N > _ZETA_CUTOFF_MAX:
-        raise ValueError(
-            f"the direct route's corner zeta row at s = {mp.nstr(s, 8)} would need a "
-            f"cutoff of {N} terms, more than {_ZETA_CUTOFF_MAX}"
-        )
+    _em_plan(3 * s - 1, 2, R + 1, P + 1)
     # sum_r B_2r/(2r) c_(2r-1) as a polynomial in y
     corr_y = [
         beta[m] * sum(
@@ -361,13 +350,16 @@ def _direct_eval(s):
     # corner j, k > P: the diagonal 2^(-s) zeta(3s, P+1) plus twice the
     # triangle P < j < k.  Row j of the triangle is Euler-Maclaurin from k = j
     # on f_j(j + u) = 2^(-s) j^(-2s) sum_q d_q (u/j)^q, d_q the coefficients of
-    # (1+u)^(-s) (1+u/2)^(-s) = (1 + 3u/2 + u^2/2)^(-s) (radius j > P, as on
-    # the strips):
+    # (1+u)^(-s) (1+u/2)^(-s), d_q = sum_i beta_i beta_(q-i) 2^(-(q-i)) as
+    # c_q above (radius j > P, as on the strips):
     #   sum_{k>j} f_j(k) = G2(1; s, s) j^(1-2s) - 2^(-s) j^(-2s) / 2
     #                      - 2^(-s) sum_r B_2r/(2r) d_(2r-1) j^(1-2s-2r),
     # so the sum over j > P is a list of Hurwitz zeta values zeta(x, P+1)
     # (DLMF 25.11), and the diagonal cancels the f_j(j)/2 terms.
-    d_odd = taylor(mpf(3) / 2, mpf(1) / 2)[1::2]
+    d_odd = [
+        sum(beta[i] * beta[q - i] / 2 ** (q - i) for i in range(q + 1))
+        for q in range(1, 2 * R + 2, 2)
+    ]
     two_1ms = 2 * mp.exp(-s * mp.ln(2))  # 2^(1-s)
     t_half = _unfix(*_pfaff_value(pfaff, 1, 2, W), W)  # 2 G2(1; s, s) = 2^(1-s) T(1/2)
     coeffs = [two_1ms * (t_half if mp.im(s) else t_half.real)]
@@ -562,19 +554,20 @@ def _em_plan(a0, d, K, a=1):
     """Cutoff N, Euler-Maclaurin depth D and least real part sigma of the
     path a0 + k d, k = 0..K, starting the partial sum at n = a.
 
-    N = max(10, a, 1.35 dps + 12 + 0.32 |Im|), and D the smallest from
+    N = max(a, 1.35 dps + 12 + 0.32 |Im|), and D the smallest from
     max(_EM_DEPTH, floor((1 - sigma)/2) + 1) on (so that sigma + 2D - 1 > 0)
     whose remainder bound (Johansson 2015)
     4 |(s)_2D| (2 pi N)^(-2D) N^(1-sigma) / (sigma + 2D - 1), at the path's
     largest |s| and least Re s, is at most 10^-(dps - 10).  Once D reaches N
     the cutoff grows by a quarter instead, so the bound is always met.  Up to
     about 60 digits D = _EM_DEPTH on lines right of Re(a0) = -1; the bound's
-    N^(1-sigma) raises it further left."""
+    N^(1-sigma) raises it further left.  A path whose N would pass
+    _ZETA_CUTOFF_MAX raises ValueError, which names the path's largest |Im|."""
     end = a0 + K * d
     sigma = float(min(mp.re(a0), mp.re(end)))
     t_extreme = float(max(abs(mp.im(a0)), abs(mp.im(end))))
     s_abs = float(max(abs(a0), abs(end)))  # |(s)_2D| <= prod_{i<2D} (|s| + i)
-    N = max(10, a, int(1.35 * mp.dps) + 12 + int(0.32 * t_extreme))
+    N = max(a, int(1.35 * mp.dps) + 12 + int(0.32 * t_extreme))
     depth = max(_EM_DEPTH, math.floor((1 - sigma) / 2) + 1)
     target = -(mp.dps - 10) * math.log(10)
     log_poch = math.fsum(math.log(s_abs + i) for i in range(2 * depth))
@@ -587,6 +580,12 @@ def _em_plan(a0, d, K, a=1):
             depth += 1
         else:
             N += N // 4
+    if N > _ZETA_CUTOFF_MAX:
+        raise ValueError(
+            f"the zeta row from {mp.nstr(a0, 8)} in steps of {mp.nstr(d, 8)} would need a "
+            f"cutoff of {N} terms, more than {_ZETA_CUTOFF_MAX} (its largest |Im| is "
+            f"{t_extreme:.6g})"
+        )
     return N, depth, sigma
 
 
@@ -718,7 +717,7 @@ def _auto_M(re_s: float) -> int:
     Re(z) = M - 1/2 then passes the pole of zeta(s-z) (at z = s-1) by
     M + 1/2 - Re s > 1/2, as M > Re s, and the pole of zeta(2s+z) (at
     z = 1-2s) by M - 3/2 + 2 Re s >= 2, as M >= 3/2 - 2 Re s + 2."""
-    return max(2, math.ceil(2 * (0.75 - re_s)) + 2, math.floor(re_s) + 1)
+    return max(math.ceil(2 * (0.75 - re_s)) + 2, math.floor(re_s) + 1)
 
 
 def _pole_weight(z, c, h):
@@ -764,7 +763,7 @@ def _mb_integral(s, M: int, digit_target: int):
     t_max = 12.0
     for _ in range(6):
         t_max = (math.log(10) * (digit_target + 6) + growth * max(0.0, math.log(t_max))) / math.pi
-    t_max = max(6.0, t_max) + abs(im_s)
+    t_max += abs(im_s)
     real_s = mp.im(s) == 0  # exactly: a tiny Im s must not round to a real s
     target_abs = mpf(10) ** (-(digit_target + 5))
     # the longest zeta cutoff is that of the 2s + c line of the half whose
@@ -772,12 +771,7 @@ def _mb_integral(s, M: int, digit_target: int):
     s_up = s if im_s >= 0 else mp.conj(s)
     for _ in range(4):
         K = int(t_max / float(h)) + 1
-        N = _em_plan(2 * s_up + c, mpc(0, h), K)[0]
-        if N > _ZETA_CUTOFF_MAX:
-            raise ValueError(
-                f"the continuation's zeta lines at s = {mp.nstr(s, 8)} would need a "
-                f"cutoff of {N} terms, more than {_ZETA_CUTOFF_MAX}"
-            )
+        _em_plan(2 * s_up + c, mpc(0, h), K)
         neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
         upper = _half_line(s, c, h, K, neg_z)
         # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)
@@ -827,7 +821,7 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
     re_s = float(mp.re(s0))
     if M is None:
         M = _auto_M(re_s)
-    digit_target = max(10, -(-prec // 3))
+    digit_target = -(-prec // 3)
     # the finite part carries 24 digits past the quadrature's target, so its
     # rounding, (1 + big) 10^-(finite_dps - 12) below, stays >= 8 orders under
     # the quadrature's 10^-(digit_target + 4)

@@ -98,14 +98,23 @@ def test_omega_beyond_float_range_is_an_error(capsys):
 
 @pytest.mark.parametrize(
     "re_s, im_s, refusal",
-    [("1.5", "805", "truncation estimate"), ("40", "1e8", "corner zeta row")],
+    [
+        pytest.param(
+            "1.5", "805", "the direct route's truncation estimate", id="1.5-805-truncation estimate"
+        ),
+        pytest.param(
+            "40", "1e8", "the zeta row from (119.0 + 3.0e+8j) in steps of 2",
+            id="40-1e8-corner zeta row",
+        ),
+    ],
 )
 def test_omega_refused_by_the_direct_route_is_an_error(capsys, re_s, im_s, refusal):
-    # a claim that leaves no digit, or a corner cutoff past its cap
+    # a claim that leaves no digit, or a corner zeta row (3s - 1, step 2) whose
+    # cutoff passes its cap
     rc, out, err = run(capsys, "omega", "--re", re_s, "--im", im_s)
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: the direct route's {refusal}")
+    assert err.startswith(f"error: {refusal}")
 
 
 def test_omega_refused_by_the_continuation_is_an_error(capsys):
@@ -114,7 +123,8 @@ def test_omega_refused_by_the_continuation_is_an_error(capsys):
     rc, out, err = run(capsys, "omega", "--re", "0.8", "--im", "1e8")
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: the continuation's zeta lines")
+    assert err.startswith("error: the zeta row from (3.1 + 2.0e+8j) in steps of (0.0 + 0.5j)")
+    assert "cutoff" in err
 
 
 def test_omega_no_convergence_is_an_error(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 from su3asym import exact_counting
 from su3asym.exact_counting import (
     EXACT_LIMIT,
+    FLOAT64_LIMIT,
     _euler_product,
     _sweep,
     hr_estimate,
@@ -259,6 +260,18 @@ def test_log_r_float64_refuses_beyond_float64_range_before_any_work(monkeypatch)
     monkeypatch.setattr(exact_counting, "_sweep", no_sweep)
     with pytest.raises(OverflowError, match="float64 DP overflowed"):
         log_r_float64(234_313)
+
+
+def test_log_r_float64_reaches_the_float64_ceiling_at_its_limit():
+    # FLOAT64_LIMIT alone keeps the count inside float64: at it the last
+    # count is finite and sits closer to log(DBL_MAX) (0.001284 below) than
+    # one step of n moves it (0.001332), without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = log_r_float64(FLOAT64_LIMIT)
+    last, before = float(logs[-1]), float(logs[-2])
+    assert math.isfinite(last)
+    assert 0 < math.log(np.finfo(np.float64).max) - last < last - before
 
 
 def test_log_r_float64_tracks_exact():

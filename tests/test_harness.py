@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from mpmath import mp, mpf, mpc
 
+from su3asym import harness
 from su3asym.exact_counting import r_exact, su3_parts
 from su3asym.harness import (
     asymptotic_log_G,
@@ -46,6 +47,18 @@ def test_compare_table_refuses_bad_input(n_list, L_max, match):
 def test_compare_table_ratio_close_to_exact_at_ten_thousand():
     (row,) = [row for row in compare_table([10000], 2).rows if row.L == 2]
     assert mpf("0.98") < row.ratio < mpf("1.0")
+
+
+def test_compare_table_refuses_past_the_float64_range_before_any_count(monkeypatch):
+    # the float64 count runs first, so its refusal beyond FLOAT64_LIMIT comes
+    # before the exact DP and the C_j
+    def not_called(*args):
+        raise AssertionError("computed before the float64 refusal")
+
+    monkeypatch.setattr(harness, "r_exact", not_called)
+    monkeypatch.setattr(harness, "c_constants", not_called)
+    with pytest.raises(OverflowError, match="float64 DP overflowed"):
+        compare_table([50000, 300000], 4)
 
 
 def test_log_G_direct_matches_partial_sums():

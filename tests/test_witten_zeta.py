@@ -681,6 +681,22 @@ def test_far_left_line_meets_its_remainder_bound(K):
     assert max(_em_remainder_bound(s, N, depth) for s in nodes) <= bound
 
 
+def test_em_plan_alone_caps_a_zeta_row(monkeypatch):
+    # the cutoff grows like 0.32 |Im|: at 60 digits 2 + 15000i needs 4893
+    # terms, within the cap, and 2 + 20000i 6493, past it; the planner
+    # refuses that row before any power table is built
+    mp.dps = 60
+    assert _em_plan(mpc(2, 15000), 1, 0)[0] == 4893
+
+    def no_table(*args):
+        raise AssertionError("a power table was built for a row past the cap")
+
+    monkeypatch.setattr(witten_zeta, "_power_tables", no_table)
+    refusal = r"cutoff of 6493 terms, more than 5000 \(its largest \|Im\| is 20000\)"
+    with pytest.raises(ValueError, match=refusal):
+        _zeta_line(mpc(2, 20000), 1, 0)
+
+
 def _row_allowance(dps, want):
     """The kernel's target 10^-(dps - 10) plus a thousand units in the last
     digit of the value, which the output rounding alone can reach."""
@@ -767,7 +783,7 @@ def test_mb_refuses_heights_its_zeta_lines_cannot_afford():
             times = []
             for _ in range(2):  # the better of two, clear of a scheduling hiccup
                 start = time.perf_counter()
-                with pytest.raises(ValueError, match="continuation's zeta lines.*cutoff"):
+                with pytest.raises(ValueError, match="zeta row from .* would need a cutoff"):
                     omega_result(s, method=method)
                 times.append(time.perf_counter() - start)
             assert min(times) < 0.1, (dps, s, times)
