@@ -132,13 +132,10 @@ def _cmd_rn(args) -> int:
 def _cmd_omega(args) -> int:
     if args.verify_zeros is not None:
         k = args.verify_zeros
-        zeros = trivial_zeros(k, M=args.M)
-        worst = mpf(0)
-        for n, val in enumerate(zeros, start=1):
-            mag = abs(val)
-            worst = max(worst, mag)
-            print(f"omega(-{n}) = {_nstr(val, 8)}  |.| = {_nstr(mag, 6)}")
-        print(f"max |omega(-n)| over n=1..{k}: {_nstr(worst, 6)}")
+        zeros = trivial_zeros(k, M=args.M)  # |omega(-n)|, n = 1..k
+        for n, mag in enumerate(zeros, start=1):
+            print(f"|omega(-{n})| = {_nstr(mag, 6)}")
+        print(f"max |omega(-n)| over n=1..{k}: {_nstr(max(zeros), 6)}")
         return 0
     if args.verify_identity is not None:
         n = args.verify_identity

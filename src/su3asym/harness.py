@@ -37,6 +37,7 @@ Provided operations:
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 
@@ -265,7 +266,7 @@ def compare_table(n_list, L_max: int) -> ComparisonTable:
     an n beyond FLOAT64_LIMIT = 234312, where r(n) exceeds float64's range,
     raises OverflowError before any count or constant is computed.
     """
-    n_list = sorted(set(int(n) for n in n_list))
+    n_list = sorted(set(map(operator.index, n_list)))  # TypeError for a non-integer
     if not n_list:
         raise ValueError("n_list must not be empty")
     if n_list[0] < 1:

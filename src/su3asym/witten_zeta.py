@@ -92,8 +92,8 @@ prime and stepped from node to node, and its Bernoulli coefficients from
 one exact table per process.  Its depth follows Johansson's remainder bound
 (Numer. Algorithms 2015), which treats Hurwitz zeta alike.  Its planner,
 ``_em_plan``, refuses a path whose cutoff, about 0.32 |Im|, would pass
-_ZETA_CUTOFF_MAX terms; both routes price their longest path, which reaches
-about 3 |Im s|, with it before building any table.
+_ZETA_CUTOFF_MAX terms; both routes price their longest path, 3 |Im s| high
+(the corner row) or 2.5 |Im s| (mb's 2s + c line), before building any table.
 
 ``omega`` dispatches between the two routes, ``omega_residue`` returns the
 closed-form residues, and ``verify_zeta_identity`` checks the classical
@@ -757,32 +757,34 @@ def _mb_integral(s, M: int, digit_target: int):
         )
     half_width = 0.9 * (_POLE_BAND - 0.5)
     h = mpf(min(_QUAD_STEP, 2 * math.pi * half_width / (math.log(10) * (digit_target + 4))))
-    # contour length: solve pi t = ln10 (Dq + 6) + growth * ln t for the
-    # e^(-pi t) decay, then extend until the boundary values meet the target
-    growth = max(2.0, re_s + 2.0)
-    t_max = 12.0
+    # contour length, from the half whose |Im| shrinks, which decays slower.  With
+    # Gamma(-z) = pi / (sin(pi z) Gamma(1+z)), zeta's functional equation for zeta(s-z)
+    # and zeta(2s+z) ~ zeta(1-s+z) ~ 1, at a = Re s, x = M - 1/2, Stirling (DLMF 5.11.1)
+    # sizes |f(x + i t)| ~ (2 pi)^(a-x) e^(pi (|Im s| - t)/2) |Gamma(a+x+it)
+    # Gamma(1-a+x+it) / Gamma(1+x+it)|, also at t ~ M, far left; for t >> M that is
+    # 2 pi (2 pi)^(a-M) t^(M-1) e^(-pi t + pi |Im s|/2).  Six steps t += ln(|f(t)|/|f(end)|)/pi
+    # put |f(end)|/pi near 10^-(Dq + 6), a decade under the target 10^-(Dq + 5)
+    x, t_max = M - 0.5, 12.0
     for _ in range(6):
-        t_max = (math.log(10) * (digit_target + 6) + growth * max(0.0, math.log(t_max))) / math.pi
-    t_max += abs(im_s)
+        log_f = math.fsum(
+            sign * ((u - 0.5) * math.log(math.hypot(u, t_max)) - t_max * math.atan2(t_max, u) - u)
+            for sign, u in ((1, re_s + x), (1, 1 - re_s + x), (-1, 1 + x))
+        ) + (re_s - x + 0.5) * math.log(2 * math.pi) + math.pi * (abs(im_s) - t_max) / 2
+        t_max += (log_f - math.log(math.pi) + math.log(10) * (digit_target + 6)) / math.pi
+    K = int(t_max / float(h)) + 1
     real_s = mp.im(s) == 0  # exactly: a tiny Im s must not round to a real s
-    target_abs = mpf(10) ** (-(digit_target + 5))
     # the longest zeta cutoff is that of the 2s + c line of the half whose
-    # |Im| grows, to about 3 |Im s|; priced before any line is built
+    # |Im| grows, to about 2.5 |Im s|; priced before any line is built
     s_up = s if im_s >= 0 else mp.conj(s)
-    for _ in range(4):
-        K = int(t_max / float(h)) + 1
-        _em_plan(2 * s_up + c, mpc(0, h), K)
-        neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
-        upper = _half_line(s, c, h, K, neg_z)
-        # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)
-        lower = upper if real_s else _half_line(mp.conj(s), c, h, K, neg_z)
-        total = upper[0] + (sum(upper[:0:-1]) + mp.conj(sum(lower[:0:-1])))
-        if real_s:
-            total = mp.re(total)
-        est_trunc = max(abs(upper[K]), abs(lower[K])) / math.pi
-        if est_trunc < target_abs:
-            break
-        t_max *= 1.4
+    _em_plan(2 * s_up + c, mpc(0, h), K)
+    neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
+    upper = _half_line(s, c, h, K, neg_z)
+    # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)
+    lower = upper if real_s else _half_line(mp.conj(s), c, h, K, neg_z)
+    total = upper[0] + (sum(upper[:0:-1]) + mp.conj(sum(lower[:0:-1])))
+    if real_s:
+        total = mp.re(total)
+    est_trunc = max(abs(upper[K]), abs(lower[K])) / math.pi
     value = h * total / (2 * mp.pi)
     est = est_trunc + mpf(10) ** (-(digit_target + 4)) + (K + 1) * mpf(10) ** (-(mp.dps - 2))
     return value, est, h

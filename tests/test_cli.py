@@ -158,9 +158,12 @@ def test_omega_numbers_are_checked_in_every_mode(capsys):
 
 
 def test_omega_verify_zeros(capsys):
-    rc, out, _ = run(capsys, "omega", "--verify-zeros", "1")
+    # trivial_zeros returns |omega(-n)|, so each line shows the modulus once
+    rc, out, _ = run(capsys, "omega", "--verify-zeros", "2")
     assert rc == 0
-    assert "omega(-1)" in out
+    lines = out.splitlines()
+    assert [line.split(" = ")[0] for line in lines[:2]] == ["|omega(-1)|", "|omega(-2)|"]
+    assert len(lines) == 3 and lines[2].startswith("max |omega(-n)| over n=1..2: ")
 
 
 def test_omega_verify_zeros_rejects_nonpositive_count(capsys):
@@ -325,14 +328,34 @@ def test_residual_checks_eta_before_the_direct_sum(capsys, monkeypatch):
         assert err.startswith(error)
 
 
+def _package_env():
+    """The environment of a subprocess that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def test_importing_the_cli_does_not_load_numpy():
     # Every command pays for what the CLI module imports; numpy loads only
     # when a count is computed
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import su3asym.cli, sys; assert 'numpy' not in sys.modules"
-    env = dict(os.environ, PYTHONPATH=path)
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["rn", "--max", "3"], 0), (["omega", "--verify-zeros", "0"], 2)],
+    ids=["rn", "bad-count"],
+)
+def test_the_cli_runs_as_a_module(argv, status):
+    # python -m su3asym.cli, as perfbench starts it, exits with main's status
+    done = subprocess.run(
+        [sys.executable, "-m", "su3asym.cli", *argv],
+        env=_package_env(),
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == status, done.stderr
 
 
 def test_residual_bad_z(capsys):

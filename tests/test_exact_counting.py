@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -198,6 +199,13 @@ def test_exact_counts_are_python_ints():
 def test_r_exact_matches_rational_exp_oracle():
     for n in (150, 1000):
         assert r_exact(n) == r_exact_via_exp(n)
+
+
+def test_r_exact_via_exp_refuses_a_coefficient_that_is_not_an_integer(monkeypatch):
+    # a part of multiplicity 1/2 makes sigma(1) = 1/2, so 1 r(1) = sigma(1) r(0) is no integer
+    monkeypatch.setattr(exact_counting, "su3_parts", lambda limit: [(1, Fraction(1, 2))])
+    with pytest.raises(ArithmeticError, match=r"coefficient at q\^1 is not an integer"):
+        r_exact_via_exp(3)
 
 
 def test_r_exact_monotone_from_degree_three():

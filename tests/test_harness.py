@@ -31,16 +31,18 @@ def test_big_A_input_guard():
 
 
 @pytest.mark.parametrize(
-    "n_list, L_max, match",
+    "n_list, L_max, error, match",
     [
-        ([], 1, "must not be empty"),
-        ([0, 5], 1, "all n must be positive integers"),
-        ([5], -1, "L_max must be a nonnegative integer"),
+        ([], 1, ValueError, "must not be empty"),
+        ([0, 5], 1, ValueError, "all n must be positive integers"),
+        ([5], -1, ValueError, "L_max must be a nonnegative integer"),
+        ([200.9, 300, 400], 0, TypeError, "float"),
+        (["300"], 0, TypeError, "str"),
     ],
-    ids=["empty", "zero-n", "negative-L"],
+    ids=["empty", "zero-n", "negative-L", "float-n", "str-n"],
 )
-def test_compare_table_refuses_bad_input(n_list, L_max, match):
-    with pytest.raises(ValueError, match=match):
+def test_compare_table_refuses_bad_input(n_list, L_max, error, match):
+    with pytest.raises(error, match=match):
         compare_table(n_list, L_max)
 
 

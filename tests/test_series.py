@@ -28,6 +28,8 @@ def test_constructor_semantics():
     assert s.coeff(0) == 0
     with pytest.raises(ValueError):
         s.coeff(3)  # at/beyond truncation order is unknown, not zero
+    with pytest.raises(ValueError, match="order - valuation must equal"):
+        PowerSeries([mpf(2), mpf(3)], valuation=1, order=4)
 
 
 def test_mul_matches_hand_expansion():
@@ -139,6 +141,7 @@ def test_drop_below_and_truncate():
     assert low.valuation >= 0
     assert low.coeff(0) == 3
     assert low.coeff(1) == 4
+    assert f.drop_below(-2) is f and f.drop_below(-5) is f  # nothing stored below
     t = f.truncate(1)
     assert t.order == 1
     assert t.coeff(-2) == 1
@@ -161,6 +164,9 @@ def test_xpoly_degree_and_arithmetic():
     assert prod.coeff(3) == 6
     tot = p + q
     assert [tot.coeff(k) for k in range(3)] == [1, 3, 2]
+    assert XPolynomial([]).coeffs == (0,)
+    assert p == XPolynomial([1, 0, 2, 0]) and not p == q
+    assert p != "1 + 2 x^2"  # no comparison with a non-number
 
 
 def test_xpoly_effective_degree_ignores_numerical_dust():

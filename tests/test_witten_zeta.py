@@ -773,13 +773,14 @@ def test_mb_refuses_points_where_its_claim_fails(s):
 
 
 def test_mb_refuses_heights_its_zeta_lines_cannot_afford():
-    # the contour runs to about |Im s| with step 0.5, and the 2s + c line of
-    # the half whose |Im| grows reaches about 3 |Im s|: past the zeta cutoff
-    # cap the route refuses before any line is built.  Unrefused,
+    # the contour runs to about |Im s|/2 with step 0.5, and the 2s + c line of
+    # the half whose |Im| grows reaches about 2.5 |Im s|: past the zeta cutoff
+    # cap the route refuses before any line is built, at Re s = 0.8 from
+    # |Im s| = 6191, 6172 and 6112 at 30, 60 and 150 digits.  Unrefused,
     # 0.8 + 10^8 i would ask for about 2 10^8 Gamma values
     for dps in (30, 60, 150):
         mp.dps = dps
-        for s, method in [(mpc("0.8", "1e8"), "auto"), (mpc("-2.3", "6000"), "mb")]:
+        for s, method in [(mpc("0.8", "1e8"), "auto"), (mpc("-2.3", "6500"), "mb")]:
             times = []
             for _ in range(2):  # the better of two, clear of a scheduling hiccup
                 start = time.perf_counter()
@@ -1073,9 +1074,12 @@ def test_mb_error_claim_holds_against_reruns():
 
 def test_mb_contour_lines_stay_short(monkeypatch):
     # with the poles within _POLE_BAND corrected, the step is 0.5 at 60 digits
-    # (the cap) and about 0.3 at 150, so omega(0.8) builds lines of 45 and 152
+    # (the cap) and about 0.3 at 150, so omega(0.8) builds lines of 41 and 143
     # nodes (an uncorrected rule, whose step the Gamma(-z) poles half a unit
-    # from the line cap, needs over 400 at 60 digits)
+    # from the line cap, needs over 400 at 60 digits).  The length comes from
+    # the integrand's Stirling size, so every line is built once, far left at
+    # 150 digits too (153 and 159 nodes); the slower half decays like
+    # e^(-pi (t - |Im s|/2)), so 0.3 + 30i builds two lines of 71 nodes
     nodes = []
 
     def counting_gamma_line(a0, h, K):
@@ -1083,11 +1087,18 @@ def test_mb_contour_lines_stay_short(monkeypatch):
         return _gamma_line(a0, h, K)
 
     monkeypatch.setattr(witten_zeta, "_gamma_line", counting_gamma_line)
-    for dps, most in [(60, 50), (150, 160)]:
+    cases = [
+        (60, mpf("0.8"), 1, 50),
+        (150, mpf("0.8"), 1, 160),
+        (150, mpf("-3.7"), 1, 165),
+        (150, mpf("-5.3"), 1, 165),
+        (60, mpc("0.3", "30"), 2, 80),
+    ]
+    for dps, s, lines, most in cases:
         mp.dps = dps
         nodes.clear()
-        omega_result(mpf("0.8"), method="mb")
-        assert nodes and max(nodes) <= most, (dps, nodes)
+        omega_result(s, method="mb")
+        assert len(nodes) == lines and max(nodes) <= most, (dps, s, nodes)
 
 
 def test_mb_value_holds_when_the_step_halves(monkeypatch):
