@@ -189,8 +189,8 @@ def _validate_eta(eta) -> mpf:
             f"eta = {mp.nstr(eta, 8)} is a half-integer, where the expansion's "
             "error term is not defined"
         )
-    if not eta > mpf(1) / 2:
-        raise ValueError("eta must lie in (1/2, oo), off the half-integers")
+    if not mpf(1) / 2 < eta < mp.inf:
+        raise ValueError(f"eta = {mp.nstr(eta, 8)} must lie in (1/2, oo), off the half-integers")
     return eta
 
 
@@ -202,6 +202,8 @@ def asymptotic_log_G(z, eta):
     """
     z = _to_mp(z)
     eta = _validate_eta(eta)
+    if not 0 < abs(z) < mp.inf:  # NaN fails both comparisons
+        raise ValueError(f"z = {mp.nstr(z, 8)} must be nonzero and finite")
     if abs(mp.arg(z)) > mp.pi / 4 + mpf("1e-15"):
         raise ValueError("z must lie in the cone |Arg z| <= pi/4")
     prec = working_digits()

@@ -44,12 +44,15 @@ Two independent evaluation routes are provided and cross-checked:
                                  Gamma(s+z) Gamma(-z) zeta(2s+z) zeta(s-z) dz,
 
   valid on the strip 3/4 - M/2 < Re(s) < M + 1/2.  The vertical-line
-  integral is evaluated by trapezoid quadrature; the integrand inherits the
-  e^(-pi t) decay of the Gamma factors, so the trapezoid rule converges
-  geometrically in the step size.  It is corrected for the poles z_p of the
-  integrand f (Trefethen and Weideman, "The exponentially convergent
-  trapezoidal rule", SIAM Review 56(3), 2014, section 5): on the line
-  Re(z) = c = M - 1/2, with T = (h/(2 pi)) sum_k f(c + i k h),
+  integral is evaluated by the package's one trapezoid rule, _trapezoid,
+  which sizes the line, sums its nodes and forms the end-node estimate from
+  what mb gives it: the integrand's half-lines, its Stirling size and the
+  step.  The integrand inherits the e^(-pi t) decay of the Gamma factors, so
+  the rule converges geometrically in the step size.  It is corrected for
+  the poles z_p of the integrand f (Trefethen and Weideman, "The
+  exponentially convergent trapezoidal rule", SIAM Review 56(3), 2014,
+  section 5): on the line Re(z) = c = M - 1/2, with
+  T = (h/(2 pi)) sum_k f(c + i k h),
 
       (1/(2 pi i)) integral f dz = T - sum_{Re z_p < c} Res_p / (e^(2 pi (c - z_p)/h) - 1)
                                      + sum_{Re z_p > c} Res_p / (e^(2 pi (z_p - c)/h) - 1),
@@ -291,15 +294,16 @@ def _direct_eval(s):
     # Euler-Maclaurin terms B_(2R+2)/(2R+2) c_(2R+1) |pj base| leave no digit
     # from 1 on, as |omega(s)| <= omega(1.1) < 1.7; they fall like
     # (P (P+1))^(-sigma), so the cutoff N of the corner's zeta row, about
-    # |Im s|, is capped too (by _em_plan).  c_(2R+1) is a polynomial in y
+    # |Im s|, is capped too (by _em_plan).  P^(2R+1) c_(2R+1) is a polynomial
+    # in y whose coefficients do not fall into the rounding as R grows
     V = mp.prec + _DIRECT_GUARD
-    ly = [_fix(beta[m] * at_P[2 * R + 1 - m], V) for m in range(2 * R + 2)]
+    ly = [_fix(beta[m] * beta[2 * R + 1 - m] * P**m, V) for m in range(2 * R + 2)]
     with mp.workprec(64):
         sigma = +mp.re(s)
         est = 2 * abs(bern_next) * mp.fsum(
             abs(_unfix(*_horner(ly, 1, j + P), V)) * mpf(j * P * (j + P)) ** -sigma
             for j in range(1, P + 1)
-        )
+        ) / mpf(P) ** (2 * R + 1)
     if est >= 1:
         raise ValueError(
             f"the direct route's truncation estimate at s = {mp.nstr(s, 8)} is {mp.nstr(est, 3)}, "
@@ -728,22 +732,45 @@ def _pole_weight(z, c, h):
     return -1 / mp.expm1(2 * mp.pi * (z - c) / h)
 
 
-def _half_line(s, c, h, K, neg_z):
-    """[f(c + i k h) for k = 0..K], f(z) = Gamma(s+z) Gamma(-z) zeta(2s+z)
-    zeta(s-z), given the line neg_z of Gamma(-z)."""
-    gamma = _gamma_line(s + c, h, K)
-    zeta_a = _zeta_line(2 * s + c, mpc(0, h), K)
-    zeta_b = _zeta_line(s - c, mpc(0, -h), K)
-    return [g * n * a * b for g, n, a, b in zip(gamma, neg_z, zeta_a, zeta_b)]
+def _trapezoid(lines, log_size, h, digit_target):
+    """(T, est): the trapezoid sum T = (h/(2 pi)) sum_k f(c + i k h) over all
+    integers k, and the error estimate of the integral
+    T - sum_p Res_p * _pole_weight(z_p, c, h), whose pole terms the caller
+    forms (Trefethen and Weideman 2014, section 5).  The caller supplies:
+
+    * lines(K): the upper half-line [f(c + i k h) for k = 0..K] and the
+      conjugated lower one [conj f(c - i k h) for k = 0..K], the same list
+      twice for a real integrand (f(conj z) = conj f(z)), whose T is real;
+    * log_size(t): a float estimate of ln |f(c + i t)| on the half that
+      decays slower, which falls like e^(-pi t), as every Gamma product does
+      on a vertical line;
+    * the step h, an mpf, and the digit target D of the quadrature.
+
+    Six steps t += (log_size(t) - ln pi + (D + 6) ln 10)/pi from t = 12 put
+    |f(end)|/pi near 10^-(D+6), a decade under the target 10^-(D+5), and
+    K = int(t/h) + 1.  est sums max |f(end)|/pi, the target 10^-(D+4) and
+    the rounding (K + 1) 10^-(dps-2).  At the working precision."""
+    t_max = 12.0
+    for _ in range(6):
+        t_max += (log_size(t_max) - math.log(math.pi) + math.log(10) * (digit_target + 6)) / math.pi
+    K = int(t_max / float(h)) + 1
+    upper, lower = lines(K)
+    total = upper[0] + (sum(upper[:0:-1]) + mp.conj(sum(lower[:0:-1])))
+    if upper is lower:
+        total = mp.re(total)
+    value = h * total / (2 * mp.pi)
+    est = max(abs(upper[K]), abs(lower[K])) / math.pi + mpf(10) ** (-(digit_target + 4))
+    return value, est + (K + 1) * mpf(10) ** (-(mp.dps - 2))
 
 
 def _mb_integral(s, M: int, digit_target: int):
-    """T = (h/(2 pi)) sum_k f(c + i k h), f(z) = Gamma(s+z) Gamma(-z)
-    zeta(2s+z) zeta(s-z), on the line z = c + i t, c = M - 1/2; the error
-    estimate of the integral T - sum_p Res_p * _pole_weight(z_p, c, h)
-    (Trefethen and Weideman 2014, section 5), which the caller forms, as
-    Res_p / Gamma(s) is +F at z_p = 1 - 2s, -F at s - 1, -t_k at k and +t_k
-    at -s - k (its finite-part terms); and h.  At the working precision."""
+    """The continuation's integral on the line z = c + i t, c = M - 1/2, by
+    _trapezoid: (T, est, h) for f(z) = Gamma(s+z) Gamma(-z) zeta(2s+z)
+    zeta(s-z), whose poles the caller corrects, as Res_p / Gamma(s) is +F at
+    z_p = 1 - 2s, -F at s - 1, -t_k at k and +t_k at -s - k (its finite-part
+    terms).  What is mb's own: the strip check on M, the step h, the
+    integrand's Stirling size and its lines, whose longest zeta cutoff is
+    priced before any of them is built.  At the working precision."""
     c = M - mpf(1) / 2
     re_s = float(mp.re(s))
     im_s = float(mp.im(s))
@@ -762,32 +789,34 @@ def _mb_integral(s, M: int, digit_target: int):
     # and zeta(2s+z) ~ zeta(1-s+z) ~ 1, at a = Re s, x = M - 1/2, Stirling (DLMF 5.11.1)
     # sizes |f(x + i t)| ~ (2 pi)^(a-x) e^(pi (|Im s| - t)/2) |Gamma(a+x+it)
     # Gamma(1-a+x+it) / Gamma(1+x+it)|, also at t ~ M, far left; for t >> M that is
-    # 2 pi (2 pi)^(a-M) t^(M-1) e^(-pi t + pi |Im s|/2).  Six steps t += ln(|f(t)|/|f(end)|)/pi
-    # put |f(end)|/pi near 10^-(Dq + 6), a decade under the target 10^-(Dq + 5)
-    x, t_max = M - 0.5, 12.0
-    for _ in range(6):
-        log_f = math.fsum(
-            sign * ((u - 0.5) * math.log(math.hypot(u, t_max)) - t_max * math.atan2(t_max, u) - u)
+    # 2 pi (2 pi)^(a-M) t^(M-1) e^(-pi t + pi |Im s|/2)
+    x = M - 0.5
+
+    def log_size(t):
+        return math.fsum(
+            sign * ((u - 0.5) * math.log(math.hypot(u, t)) - t * math.atan2(t, u) - u)
             for sign, u in ((1, re_s + x), (1, 1 - re_s + x), (-1, 1 + x))
-        ) + (re_s - x + 0.5) * math.log(2 * math.pi) + math.pi * (abs(im_s) - t_max) / 2
-        t_max += (log_f - math.log(math.pi) + math.log(10) * (digit_target + 6)) / math.pi
-    K = int(t_max / float(h)) + 1
-    real_s = mp.im(s) == 0  # exactly: a tiny Im s must not round to a real s
-    # the longest zeta cutoff is that of the 2s + c line of the half whose
-    # |Im| grows, to about 2.5 |Im s|; priced before any line is built
+        ) + (re_s - x + 0.5) * math.log(2 * math.pi) + math.pi * (abs(im_s) - t) / 2
+
+    halves = [s] if mp.im(s) == 0 else [s, mp.conj(s)]  # exactly: a tiny Im s is not real
     s_up = s if im_s >= 0 else mp.conj(s)
-    _em_plan(2 * s_up + c, mpc(0, h), K)
-    neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
-    upper = _half_line(s, c, h, K, neg_z)
-    # Schwarz reflection: f(c - i k h; s) = conj f(c + i k h; conj s)
-    lower = upper if real_s else _half_line(mp.conj(s), c, h, K, neg_z)
-    total = upper[0] + (sum(upper[:0:-1]) + mp.conj(sum(lower[:0:-1])))
-    if real_s:
-        total = mp.re(total)
-    est_trunc = max(abs(upper[K]), abs(lower[K])) / math.pi
-    value = h * total / (2 * mp.pi)
-    est = est_trunc + mpf(10) ** (-(digit_target + 4)) + (K + 1) * mpf(10) ** (-(mp.dps - 2))
-    return value, est, h
+
+    def lines(K):
+        # the longest zeta cutoff is that of the 2s + c line of the half whose
+        # |Im| grows, to about 2.5 |Im s|; priced before any line is built
+        _em_plan(2 * s_up + c, mpc(0, h), K)
+        neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
+        # the upper half at s; the lower at conj s, by Schwarz reflection:
+        # f(c - i k h; s) = conj f(c + i k h; conj s)
+        out = []
+        for a in halves:
+            gamma = _gamma_line(a + c, h, K)
+            zeta_a = _zeta_line(2 * a + c, mpc(0, h), K)
+            zeta_b = _zeta_line(a - c, mpc(0, -h), K)
+            out.append([g * n * za * zb for g, n, za, zb in zip(gamma, neg_z, zeta_a, zeta_b)])
+        return out[0], out[-1]
+
+    return (*_trapezoid(lines, log_size, h, digit_target), h)
 
 
 def _mb_allowed(s) -> bool:

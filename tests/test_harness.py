@@ -121,16 +121,18 @@ def test_log_G_direct_requires_positive_real_part():
 
 def test_asymptotic_log_G_eta_domain():
     z = mpf("0.1")
-    for bad in (mpf(0), mpf("-0.5"), mpf("1.5"), mpf("0.4")):
-        with pytest.raises(ValueError):
+    for bad in (mpf(0), mpf("-0.5"), mpf("1.5"), mpf("0.4"), mp.inf, mp.nan):
+        with pytest.raises(ValueError, match="eta = "):
             asymptotic_log_G(z, bad)
     # valid etas on either side of a half-integer give the same truncation
     assert abs(asymptotic_log_G(z, mpf("1.2")) - asymptotic_log_G(z, mpf("1.4"))) == 0
 
 
 def test_asymptotic_log_G_cone_guard():
-    with pytest.raises(ValueError):
-        asymptotic_log_G(mpc(1, 2), mpf("1.25"))  # arg z > pi/4
+    # arg z > pi/4, and the points where the expansion has no value
+    for bad in (mpc(1, 2), mpf(0), mp.inf, mp.nan):
+        with pytest.raises(ValueError, match="z "):
+            asymptotic_log_G(bad, mpf("1.25"))
 
 
 def test_expansion_residual_magnitude():

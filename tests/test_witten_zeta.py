@@ -22,6 +22,8 @@ from su3asym.witten_zeta import (
 from su3asym import witten_zeta
 from su3asym.witten_zeta import (
     _EM_DEPTH,
+    _POLE_BAND,
+    _QUAD_STEP,
     _auto_M,
     _bernoulli_over_factorial,
     _em_plan,
@@ -31,6 +33,7 @@ from su3asym.witten_zeta import (
     _pfaff_value,
     _pole_weight,
     _power_tables,
+    _trapezoid,
     _unfix,
     _zeta_line,
 )
@@ -205,6 +208,20 @@ def test_residues_at_half_minus_m():
     # (-1)^m 16^(-m) binom(2m, m) zeta(1/2 - 3m)
     assert abs(omega_residue("half_minus_m", 1) + mp.zeta(mpf("-2.5")) / 8) < mpf("1e-55")
     assert abs(omega_residue("half_minus_m", 2) - mp.zeta(mpf("-5.5")) * 6 / 256) < mpf("1e-55")
+
+
+def test_derivative_at_zero_is_log_two_pi():
+    # the expansion of Log G(e^(-z)) has the constant term (1/3) log(16 pi^3)
+    # = omega'(0) + (log 2)/3, from the double pole at w = 0 of
+    # Gamma(w) zeta(1+w) 2^w omega(w); a central difference at h = 1e-6 is off
+    # by its h^2 term, 1.44e-11 (1.44e-7 at h = 1e-4)
+    mp.dps = 60
+    h = mpf("1e-6")
+    plus, minus = omega_result(h), omega_result(-h)
+    assert plus.est_error + minus.est_error < mpf("1e-20")
+    slope = (plus.value - minus.value) / (2 * h)
+    assert abs(slope - mp.log(2 * mp.pi)) < mpf("1e-10"), mp.nstr(slope, 15)
+    assert abs(mp.log(16 * mp.pi**3) / 3 - mp.log(2) / 3 - mp.log(2 * mp.pi)) < mpf("1e-55")
 
 
 def test_zeta_identity_small_n():
@@ -547,6 +564,23 @@ def test_direct_claim_holds_against_a_longer_truncation(monkeypatch, dps, re_s, 
         f"s={s}, dps={dps}: |v - v_ref| = {mp.nstr(diff, 3)} exceeds "
         f"est_error {mp.nstr(res.est_error, 3)} (ratio {mp.nstr(diff / res.est_error, 4)})"
     )
+
+
+def test_direct_claim_falls_as_the_corrections_grow(monkeypatch):
+    # the first omitted terms carry c_(2R+1), whose coefficients fall like
+    # P^(-(2R+1)); formed unscaled in fixed point they round to a few units
+    # from R = 36 on, and the claim then reads that rounding (7.3e-76 at
+    # R = 36, 1.1e-48 at 48) instead of the truncation.  Scaled, the claims
+    # are 3.6e-53, 1.6e-84, 1.3e-98 and 1.3e-98 against true errors of
+    # 3.6e-53, 1.5e-84, 1.6e-106 and 1.6e-106
+    mp.dps = 150
+    exact = mp.pi**6 / 2835
+    for R in (12, 24, 36, 48):
+        monkeypatch.setattr(witten_zeta, "_DIRECT_R", R)
+        res = omega_result(2, method="direct")
+        assert abs(res.value - exact) <= res.est_error, (R, mp.nstr(res.est_error, 3))
+        if R >= 36:
+            assert res.est_error < mpf("1e-90"), (R, mp.nstr(res.est_error, 3))
 
 
 def test_direct_value_does_not_depend_on_the_block_size(monkeypatch):
@@ -1028,6 +1062,51 @@ def test_pole_weight_handles_complex_poles_on_either_side():
     correction = res_p * _pole_weight(p, c, h) + res_q * _pole_weight(q, c, h)
     assert abs(correction) > mpf("1e-8")
     assert abs(trapezoid - integral - correction) < mpf("1e-34")
+
+
+@pytest.mark.parametrize("dps", [30, 60])
+@pytest.mark.parametrize(
+    "a, x, M",
+    [("0.7", "1", 2), ("2.5", "0.5", 3), ("1.3", "2", 4), ("0.3", "1", 1), ("0.7+0.4j", "0.8+0.3j", 3)],
+)
+def test_trapezoid_meets_its_claim_on_barnes_integral(dps, a, x, M):
+    # Barnes' integral for the binomial (DLMF 15.6.6 with b = c), its line
+    # moved right past the poles z = k < M of Gamma(-z):
+    #   (1/(2 pi i)) integral over Re z = M - 1/2 of Gamma(a+z) Gamma(-z) x^z dz
+    #       = Gamma(a) (1+x)^(-a) - sum_(k<M) (-1)^k Gamma(a+k) x^k / k!,
+    # by the kernel with mb's step and mb's pole band, and no zeta.  The
+    # residues are -(-1)^k Gamma(a+k) x^k/k! at z = k and
+    # (-1)^k Gamma(a+k) x^(-a-k)/k! at z = -a - k.  A complex a or x makes
+    # the lower half-line its own list, so the reflection is tested too
+    mp.dps = dps
+    D = -(-dps // 3)
+    a, x, c = mp.mpmathify(a), mp.mpmathify(x), M - mpf(1) / 2
+    h = mpf(min(_QUAD_STEP, 2 * math.pi * 0.9 * (_POLE_BAND - 0.5) / (math.log(10) * (D + 4))))
+
+    def f(z):
+        return mp.gamma(a + z) * mp.gamma(-z) * x**z
+
+    def lines(K):
+        upper = [f(c + mpc(0, k) * h) for k in range(K + 1)]
+        if mp.im(a) == 0 and mp.im(x) == 0:
+            return upper, upper
+        return upper, [mp.conj(f(c - mpc(0, k) * h)) for k in range(K + 1)]
+
+    def log_size(t):
+        return float(max(mp.log(abs(f(c + mpc(0, t)))), mp.log(abs(f(c - mpc(0, t))))))
+
+    T, est = _trapezoid(lines, log_size, h, D)
+    weight = [(-1) ** k * mp.gamma(a + k) / mp.factorial(k) for k in range(M + _POLE_BAND)]
+    poles = [(k, -weight[k] * x**k) for k in range(M + _POLE_BAND)]
+    poles += [(-a - k, weight[k] * x ** (-a - k)) for k in range(_POLE_BAND)]
+    correction = mp.fsum(res * _pole_weight(z, c, h) for z, res in poles)
+    exact = mp.gamma(a) * (1 + x) ** -a - mp.fsum(weight[k] * x**k for k in range(M))
+    # errors 2e-18 to 1e-17 at 30 digits, 2e-28 to 1e-27 at 60; the pole
+    # terms alone move the value by 2e-3 to 7e-2
+    assert est < mpf(10) ** -(D + 3)
+    assert abs(correction) > 2 * est
+    err = abs(T - correction - exact)
+    assert err <= est, (mp.nstr(err, 3), mp.nstr(est, 3), mp.nstr(abs(correction), 3))
 
 
 def _mb_honesty_points():
