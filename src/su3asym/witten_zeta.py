@@ -108,14 +108,22 @@ Re(s).  Everything else (block size, Euler-Maclaurin depth, quadrature step
 and length) is fixed or derived from the working precision.
 
 Each route runs at the precision its error budget needs, and ``est_error``,
-not the working precision, says what a value carries.  The continuation's
-quadrature targets an absolute error of 10^-(D+4), D = ceil(dps/3) >= 10,
-at D + 14 digits; its finite part runs at D + 24 digits plus a bump near the
-integers and 2 log10(|s| + 2) guard digits, so that its rounding stays at
-least 8 orders below the quadrature's, and its two zeta rows 2 digits above
-that, so that the kernel's target 10^-(digits - 10) stays under the finite
-part's rounding allowance.  Near an integer the arguments 2s - 1 and 1 - s of
-Gamma are formed exactly.  The direct route runs at
+not the working precision, says what a value carries.  The continuation
+targets an absolute error of 10^-(D+4), D = ceil(dps/3) >= 10.  Its
+quadrature sum T enters omega as T / Gamma(s), so where |Gamma(s)| exceeds
+both 1 and the integrand's peak Stirling size, mostly next to s = 0, -1,
+-2, ..., the quadrature's own target falls by as many digits, to no less
+than 4; it runs at its target + 14 digits (18 at s = 0, -1, -2, ..., over
+14-16 nodes).  The finite part runs at D + 24 digits plus 2 log10(|s| + 2)
+guard digits, so that its rounding stays at least 8 orders below the
+quadrature's, and its two zeta rows 2 digits above that, so that the
+kernel's target 10^-(digits - 10) stays under the finite part's rounding
+allowance.  At a positive integer, where two poles cancel, the finite part
+takes dps/2 + 9 more digits, and an s within 1e-8 of an integer but not on
+it takes -log10(distance) + 6 more; at s = 0, -1, -2, ..., where the poles
+only multiply, it takes at least the digits that hold s + 10^-(dps/2 + 2).
+Near an integer the arguments 2s - 1 and 1 - s of Gamma are formed exactly.
+The direct route runs at
 dps/2 + 28 + 2 log10(|s| + 2) digits; its block, edge strips,
 correction polynomials and tail series run in fixed point with 30 guard
 bits over that precision (more where the corrections grow with |s|), whose
@@ -175,6 +183,9 @@ _EM_DEPTH = 13
 # 60 digits 48 times off its claim.
 _QUAD_STEP = 0.5
 _POLE_BAND = 7
+# Continuation: the least digit target of the quadrature once |Gamma(s)| relaxes it
+# (see _mb_integral); its contour then runs at 18 digits.
+_QUAD_TARGET_MIN = 4
 
 POLE_NEIGHBORHOOD = mpf("1e-6")
 _COLLISION_NEIGHBORHOOD = mpf("1e-8")
@@ -670,8 +681,10 @@ def _zeta_line(a0, d, K, a=1):
     W = wp + _FIX_GUARD + max(0, K.bit_length() - 8)
     one = 1 << W
 
-    (tre, tim), (sre, sim) = _power_tables([a0, d], N, W)
-    tre, tim, sre, sim = tre[a - 1 :], tim[a - 1 :], sre[a - 1 :], sim[a - 1 :]
+    # a single node is never stepped: it takes no step table, and sre, sim go unread
+    tables = _power_tables([a0, d] if K else [a0], N, W)
+    tre, tim = (t[a - 1 :] for t in tables[0])
+    sre, sim = (t[a - 1 :] for t in tables[-1])
     # B_2r/(2r)! at scale 2^(2W): tiny coefficients meet R_r up to ~(|s|/N)^(2r-1)
     coef = [(b.numerator << 2 * W) // b.denominator for b in _bernoulli_over_factorial(depth)]
     nn_scale = (N * N) << W
@@ -763,14 +776,28 @@ def _trapezoid(lines, log_size, h, digit_target):
     return value, est + (K + 1) * mpf(10) ** (-(mp.dps - 2))
 
 
-def _mb_integral(s, M: int, digit_target: int):
+def _mb_integral(s, M: int, digit_target: int, log10_gamma: float):
     """The continuation's integral on the line z = c + i t, c = M - 1/2, by
     _trapezoid: (T, est, h) for f(z) = Gamma(s+z) Gamma(-z) zeta(2s+z)
     zeta(s-z), whose poles the caller corrects, as Res_p / Gamma(s) is +F at
     z_p = 1 - 2s, -F at s - 1, -t_k at k and +t_k at -s - k (its finite-part
     terms).  What is mb's own: the strip check on M, the step h, the
     integrand's Stirling size and its lines, whose longest zeta cutoff is
-    priced before any of them is built.  At the working precision."""
+    priced before any of them is built.
+
+    T enters omega as T / Gamma(s), log10_gamma being log10 |Gamma(s)|, so
+    the quadrature's digit target D falls from digit_target by
+    r = floor(log10_gamma - max(0, peak)) where that is positive, to no less
+    than _QUAD_TARGET_MIN; peak is log10 of the integrand's Stirling size at
+    its largest.  Divided by |Gamma(s)|, the claim 10^-(D+4) stays at most
+    10^-(digit_target+4), and the rounding of T, about
+    |T| 10^-(D+14) <= 10^(max(0, peak) - D - 14), under 10^-(digit_target+14).
+    Where T is large peak keeps r at 0: right of Re s = 9, T / Gamma(s)
+    reaches 1e5-1e10 and cancels against the finite part.  So r > 0 where
+    |Gamma(s)| exceeds both 1 and 10^peak: by dps/2 digits and more next to
+    s = 0, -1, -2, ..., by a few elsewhere left of 1/2 (r = 2 at -3.001, where
+    |Gamma(s)| is 166 and peak -4.3).  The quadrature runs at D + 14 digits,
+    s rounded to them."""
     c = M - mpf(1) / 2
     re_s = float(mp.re(s))
     im_s = float(mp.im(s))
@@ -782,8 +809,6 @@ def _mb_integral(s, M: int, digit_target: int):
             "the contour Re(z) = M - 1/2 must pass that far from the poles of "
             "zeta(2s+z) and zeta(s-z); increase M"
         )
-    half_width = 0.9 * (_POLE_BAND - 0.5)
-    h = mpf(min(_QUAD_STEP, 2 * math.pi * half_width / (math.log(10) * (digit_target + 4))))
     # contour length, from the half whose |Im| shrinks, which decays slower.  With
     # Gamma(-z) = pi / (sin(pi z) Gamma(1+z)), zeta's functional equation for zeta(s-z)
     # and zeta(2s+z) ~ zeta(1-s+z) ~ 1, at a = Re s, x = M - 1/2, Stirling (DLMF 5.11.1)
@@ -798,25 +823,34 @@ def _mb_integral(s, M: int, digit_target: int):
             for sign, u in ((1, re_s + x), (1, 1 - re_s + x), (-1, 1 + x))
         ) + (re_s - x + 0.5) * math.log(2 * math.pi) + math.pi * (abs(im_s) - t) / 2
 
-    halves = [s] if mp.im(s) == 0 else [s, mp.conj(s)]  # exactly: a tiny Im s is not real
-    s_up = s if im_s >= 0 else mp.conj(s)
+    # the peak is at t = 0: on the strip a + x and 1 - a + x are positive, so
+    # log_size's slope is at most -pi/2 + 1/(4 (1 + x)) < 0
+    peak = log_size(0.0) / math.log(10)
+    relax = max(0, math.floor(log10_gamma - max(0.0, peak)))
+    digit_target = max(_QUAD_TARGET_MIN, digit_target - relax)
+    half_width = 0.9 * (_POLE_BAND - 0.5)
+    h = mpf(min(_QUAD_STEP, 2 * math.pi * half_width / (math.log(10) * (digit_target + 4))))
+    with mp.workdps(digit_target + 14):
+        s = +s
+        halves = [s] if mp.im(s) == 0 else [s, mp.conj(s)]  # exactly: a tiny Im s is not real
+        s_up = s if im_s >= 0 else mp.conj(s)
 
-    def lines(K):
-        # the longest zeta cutoff is that of the 2s + c line of the half whose
-        # |Im| grows, to about 2.5 |Im s|; priced before any line is built
-        _em_plan(2 * s_up + c, mpc(0, h), K)
-        neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
-        # the upper half at s; the lower at conj s, by Schwarz reflection:
-        # f(c - i k h; s) = conj f(c + i k h; conj s)
-        out = []
-        for a in halves:
-            gamma = _gamma_line(a + c, h, K)
-            zeta_a = _zeta_line(2 * a + c, mpc(0, h), K)
-            zeta_b = _zeta_line(a - c, mpc(0, -h), K)
-            out.append([g * n * za * zb for g, n, za, zb in zip(gamma, neg_z, zeta_a, zeta_b)])
-        return out[0], out[-1]
+        def lines(K):
+            # the longest zeta cutoff is that of the 2s + c line of the half whose
+            # |Im| grows, to about 2.5 |Im s|; priced before any line is built
+            _em_plan(2 * s_up + c, mpc(0, h), K)
+            neg_z = _neg_z_line(M, h, K)  # Gamma(-z) on the line
+            # the upper half at s; the lower at conj s, by Schwarz reflection:
+            # f(c - i k h; s) = conj f(c + i k h; conj s)
+            out = []
+            for a in halves:
+                gamma = _gamma_line(a + c, h, K)
+                zeta_a = _zeta_line(2 * a + c, mpc(0, h), K)
+                zeta_b = _zeta_line(a - c, mpc(0, -h), K)
+                out.append([g * n * za * zb for g, n, za, zb in zip(gamma, neg_z, zeta_a, zeta_b)])
+            return out[0], out[-1]
 
-    return (*_trapezoid(lines, log_size, h, digit_target), h)
+        return (*_trapezoid(lines, log_size, h, digit_target), h)
 
 
 def _mb_allowed(s) -> bool:
@@ -839,16 +873,27 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
     # removable singularities: every integer s collides with a pole of some
     # factor of the formula (Gamma(1-s) and zeta(s-k) at positive integers;
     # Gamma(2s-1), zeta(2s+k) and the rising-factorial zeros at the rest), so
-    # an integer s is evaluated at s + 10^-(prec/2 + 2) instead
-    eps = mpf(0)
-    bump = 0
+    # an integer s is evaluated at s + 10^-(prec/2 + 2) instead.  Only at a
+    # positive integer do two poles cancel, Gamma(1-s)'s against zeta(s-k)'s
+    # at k = s - 1: the first term and the finite part reach 10^(prec/2)
+    # (1.6e32 at s = 1, 60 digits), so the finite part takes prec/2 + 9 more
+    # digits.  At s = 0, -1, -2, ... the poles only multiply
+    # (Gamma(2s-1)/Gamma(s) is a ratio of two, and (s)_k zeta(2s+k) at
+    # k = 1 - 2s is eps/(2 eps)), both parts stay under 1.1e-4 at s = -1..-5,
+    # and the finite part needs only the digits that hold s + eps: at them
+    # s + eps, 2s + k and s + k are exact.  An input s within
+    # _COLLISION_NEIGHBORHOOD of an integer but not on it keeps its own bits,
+    # which rounding in 2s + k next to zeta's pole would cost
+    # -log10(distance) digits, so it takes -log10(distance) + 6 more: holding
+    # s alone left -2 + 1e-30 at 60 digits 5.9e-21 off against a claim of 1e-33
     nearest = int(mp.nint(mp.re(s0)))
     dist = abs(s0 - nearest)
-    if dist == 0:
-        eps = mpf(10) ** (-(prec // 2 + 2))
-        bump = prec // 2 + 9
+    eps = mpf(10) ** (-(prec // 2 + 2)) if dist == 0 else mpf(0)
+    bump = hold = 0
+    if eps and nearest <= 0:
+        hold = prec // 2 + 6 + len(str(-nearest))
     elif dist < _COLLISION_NEIGHBORHOOD:
-        bump = int(-mp.log10(dist)) + 6
+        bump = prec // 2 + 9 if eps else int(-mp.log10(dist)) + 6
     re_s = float(mp.re(s0))
     if M is None:
         M = _auto_M(re_s)
@@ -856,13 +901,14 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
     # the finite part carries 24 digits past the quadrature's target, so its
     # rounding, (1 + big) 10^-(finite_dps - 12) below, stays >= 8 orders under
     # the quadrature's 10^-(digit_target + 4)
-    finite_dps = digit_target + 24 + bump + max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
-    quad_dps = digit_target + 14
-    with mp.workdps(quad_dps):
-        s_quad = +s0 + eps
-        trapezoid, integral_est, h = _mb_integral(s_quad, M, digit_target)
+    guard = max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
+    finite_dps = max(hold, digit_target + 24 + bump + guard)
     with mp.workdps(finite_dps):
         s_ev = s0 + eps if eps else s0  # the input's bits, even below its precision
+        # before any line is built: |Gamma(s)| sizes the quadrature
+        gamma_s = gamma_complex(s_ev)
+        log10_gamma = float(mp.log10(abs(gamma_s)))
+        trapezoid, integral_est, h = _mb_integral(s_ev, M, digit_target, log10_gamma)
         # each term takes on its poles' weights; only z = k >= M lie right of c
         c = M - mpf(1) / 2
         # zeta(2s + k) and zeta(s - k), k < M + _POLE_BAND: one row each, the
@@ -872,7 +918,6 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
             zeta_a = _zeta_line(2 * s_ev, 1, n_terms - 1)
             zeta_b = _zeta_line(s_ev, -1, n_terms - 1)
             (zeta_3s,) = _zeta_line(3 * s_ev - 1, 0, 0)
-        gamma_s = gamma_complex(s_ev)
         # 2s - 1 and 1 - s exactly: near an integer s they lie within |s - n|
         # of a pole of Gamma, which would amplify their rounding
         first = (

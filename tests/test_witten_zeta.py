@@ -251,13 +251,17 @@ def test_non_finite_or_float_overflowing_input_is_refused(s):
         omega_result(s)
 
 
-@pytest.mark.parametrize("s, bump", [(mpf("0.8"), 0), (mpc("0.3", "1.4"), 0), (mpf(-2), 60 // 2 + 9)])
+@pytest.mark.parametrize(
+    "s, bump", [(mpf("0.8"), 0), (mpc("0.3", "1.4"), 0), (mpf(-2), 0), (mpf(1), 60 // 2 + 9)]
+)
 def test_mb_finite_part_runs_at_its_error_budget(monkeypatch, s, bump):
     # the quadrature targets ceil(dps/3) = 20 digits at 60; the finite part
     # (every zeta_complex / gamma_complex call of the route) needs 24 more,
     # plus the integer-point bump and the guard for |s|, not dps + 15; its
     # rows zeta(2s + k) and zeta(s - k) run 2 digits above that, so that the
-    # kernel's target 10^-(dps - 10) stays under the finite part's rounding
+    # kernel's target 10^-(dps - 10) stays under the finite part's rounding.
+    # The bump pays for the cancellation of two poles, which only a positive
+    # integer has (at s = 1, |first| = |finite_sum| = 1.6e32)
     mp.dps = 60
     seen = []
     lines = []
@@ -304,17 +308,24 @@ def test_mb_point_calls_no_pointwise_zeta(monkeypatch, s):
     assert args == [], args
 
 
-@pytest.mark.parametrize(
-    "s, dps",
-    [(mpf(0), 30), (mpf(0), 60), (mpf(0), 100), (mpf("1e-40"), 100), (mpf(-2), 100)],
-    ids=["0-d30", "0-d60", "0-d100", "1e-40-d100", "-2-d100"],
-)
+NEXT_TO_AN_INTEGER = [("0", 30), ("0", 60), ("0", 100), ("0", 150), ("1e-40", 100), ("-2", 100)]
+NEXT_TO_AN_INTEGER += [(n, dps) for n in ("-1", "-2", "-5") for dps in (30, 60, 150)]
+NEXT_TO_AN_INTEGER += [("-1+1e-50", 60), ("-2+1e-30", 60), ("-2+1e-70", 100)]
+
+
+@pytest.mark.parametrize("s, dps", NEXT_TO_AN_INTEGER, ids=[f"{s}-d{dps}" for s, dps in NEXT_TO_AN_INTEGER])
 def test_mb_error_claim_holds_next_to_an_integer(s, dps):
     # at s = eps the k = 1 finite-part term -s zeta(2s+1) zeta(s-1) and the
     # first term's Gamma(2s-1) are O(1) values of factors within 2 eps of a
     # pole; an argument rounded in absolute terms (1 + 2 eps, -1 + 2 eps)
-    # put omega(0) at 60 digits 1.2e-54 off against a claim of 1e-56
+    # put omega(0) at 60 digits 1.2e-54 off against a claim of 1e-56.  At
+    # s = -n the finite part runs only at the digits that hold -n + eps:
+    # at 150 digits D + 24 = 74 of them rounded -2 + 10^-77 to -2.  An input
+    # s = -n + delta keeps its own bits: at D + 24 digits -2 + 1e-30 (60
+    # digits) came out 5.9e-21 off against a claim of 1e-33, and -1 + 1e-50
+    # raised ZeroDivisionError
     mp.dps = dps
+    s = sum(mpf(term) for term in s.split("+"))
     res = omega_result(s, method="mb")
     mp.dps = 2 * dps + 20
     rerun = omega_result(res.s_evaluated, method="mb").value
@@ -761,6 +772,24 @@ def test_zeta_rows_match_pointwise(dps, start, d, K):
         )
 
 
+@pytest.mark.parametrize("a0", [mpf(5) / 3, mpc("-2.3", "4.1")], ids=["5/3", "-2.3+4.1i"])
+def test_single_node_builds_no_step_table(monkeypatch, a0):
+    # zeta(3s - 1) of every mb point and the saddle constants' zeta(5/3) are
+    # one node, never stepped: one power table, and the same bits as the
+    # first node of the two-node path with step 0, whose step table is n^0
+    mp.dps = 60
+    two_nodes = _zeta_line(a0, 0, 1)
+    tables = []
+
+    def recording(xs, N, W):
+        tables.append(len(xs))
+        return _power_tables(xs, N, W)
+
+    monkeypatch.setattr(witten_zeta, "_power_tables", recording)
+    assert _zeta_line(a0, 0, 0) == two_nodes[:1]
+    assert tables == [1]
+
+
 @pytest.mark.parametrize("dps", [34, 60])
 @pytest.mark.parametrize("s, K", [(mpf("20.3"), 23), (mpf("30.3"), 33)], ids=["20.3", "30.3"])
 def test_left_stepping_row_from_right_of_one_keeps_its_digits(dps, s, K):
@@ -1178,6 +1207,30 @@ def test_mb_contour_lines_stay_short(monkeypatch):
         nodes.clear()
         omega_result(s, method="mb")
         assert len(nodes) == lines and max(nodes) <= most, (dps, s, nodes)
+
+
+def test_mb_contour_at_a_trivial_zero_runs_short_and_low(monkeypatch):
+    # T enters omega as T / Gamma(s), and |Gamma(-3 + eps)| is about
+    # 10^(dps/2 + 2) / 6, so the quadrature's target falls to its floor: one
+    # line of at most 20 nodes at 18 digits, where the full target took 42
+    # nodes at 34 digits (dps 60) and 152 at 64 (dps 150).  Away from the integers
+    # |Gamma(s)| hides nothing and the line keeps its length
+    nodes = []
+
+    def counting_gamma_line(a0, h, K):
+        nodes.append((K + 1, mp.dps))
+        return _gamma_line(a0, h, K)
+
+    monkeypatch.setattr(witten_zeta, "_gamma_line", counting_gamma_line)
+    for dps in (60, 150):
+        mp.dps = dps
+        nodes.clear()
+        omega_result(mpf(-3), method="mb")
+        assert len(nodes) == 1 and nodes[0][0] <= 20 and nodes[0][1] <= 20, (dps, nodes)
+    mp.dps = 60
+    nodes.clear()
+    omega_result(mpf("0.1"), method="mb")
+    assert [k for k, _ in nodes] == [41], nodes
 
 
 def test_mb_value_holds_when_the_step_halves(monkeypatch):
