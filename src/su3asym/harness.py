@@ -199,6 +199,9 @@ def asymptotic_log_G(z, eta):
 
     2^(2/3) 3 X^(10/3)/z^(2/3) - sqrt(2) Y/z^(1/2) - (1/3) Log z
     + (1/3) log(16 pi^3) + z^(1/2) sum_{0 <= m < eta-1/2} nu_m z^m.
+
+    The series diverges; an eta whose sum runs more than 10 terms past twice
+    the index of its least term raises ValueError.
     """
     z = _to_mp(z)
     eta = _validate_eta(eta)
@@ -206,6 +209,18 @@ def asymptotic_log_G(z, eta):
         raise ValueError(f"z = {mp.nstr(z, 8)} must be nonzero and finite")
     if abs(mp.arg(z)) > mp.pi / 4 + mpf("1e-15"):
         raise ValueError("z must lie in the cone |Arg z| <= pi/4")
+    # nu_(m+1)/nu_m ~ (3m + 3)^3 / A^3, A = (128 pi^4)^(1/3), so |nu_m z^m| is
+    # least near m* = A |z|^(-1/3)/3 - 1 and grows past it: a sum past
+    # 2 m* + 10 is refused before any nu_m
+    with mp.workprec(53):
+        least = (128 * mp.pi**4) ** (mpf(1) / 3) / (3 * mp.cbrt(abs(z))) - 1
+    top = mp.floor(eta - mpf(1) / 2)
+    if top > 2 * least + 10:
+        raise ValueError(
+            f"eta = {mp.nstr(eta, 8)} would sum nu_m z^m to m = {mp.nstr(top, 8)}, past "
+            f"2 m* + 10 = {mp.nstr(2 * least + 10, 4)}: at |z| = {mp.nstr(abs(z), 4)} the "
+            f"terms are least near m* = {mp.nstr(least, 4)} and grow after it"
+        )
     prec = working_digits()
     cst = constants()
     with mp.workdps(prec + 10):
@@ -218,7 +233,7 @@ def asymptotic_log_G(z, eta):
             + mp.log(16 * mp.pi**3) / 3
         )
         tail = mpf(0)  # eta > 1/2, so the sum has the term m = 0 at least
-        for m in range(int(mp.floor(eta - mpf(1) / 2)), -1, -1):
+        for m in range(int(top), -1, -1):
             tail = tail * zz + nu_coeff(m)
         out += mp.exp(logz / 2) * tail
         out = +out

@@ -118,10 +118,11 @@ than 4; it runs at its target + 14 digits (18 at s = 0, -1, -2, ..., over
 guard digits, so that its rounding stays at least 8 orders below the
 quadrature's, and its two zeta rows 2 digits above that, so that the
 kernel's target 10^-(digits - 10) stays under the finite part's rounding
-allowance.  At a positive integer, where two poles cancel, the finite part
-takes dps/2 + 9 more digits, and an s within 1e-8 of an integer but not on
-it takes -log10(distance) + 6 more; at s = 0, -1, -2, ..., where the poles
-only multiply, it takes at least the digits that hold s + 10^-(dps/2 + 2).
+allowance.  An integer s is evaluated at s + 10^(10 - digits), two decades
+under that allowance.  Where two poles cancel, at a positive integer and at
+an s within 1e-8 of any integer but not on it, the finite part takes 5 more
+digits than -log10 of the evaluated point's distance to the integer; at
+s = 0, -1, -2, ... the poles only multiply, and it takes none.
 Near an integer the arguments 2s - 1 and 1 - s of Gamma are formed exactly.
 The direct route runs at
 dps/2 + 28 + 2 log10(|s| + 2) digits; its block, edge strips,
@@ -794,10 +795,10 @@ def _mb_integral(s, M: int, digit_target: int, log10_gamma: float):
     |T| 10^-(D+14) <= 10^(max(0, peak) - D - 14), under 10^-(digit_target+14).
     Where T is large peak keeps r at 0: right of Re s = 9, T / Gamma(s)
     reaches 1e5-1e10 and cancels against the finite part.  So r > 0 where
-    |Gamma(s)| exceeds both 1 and 10^peak: by dps/2 digits and more next to
-    s = 0, -1, -2, ..., by a few elsewhere left of 1/2 (r = 2 at -3.001, where
-    |Gamma(s)| is 166 and peak -4.3).  The quadrature runs at D + 14 digits,
-    s rounded to them."""
+    |Gamma(s)| exceeds both 1 and 10^peak: by about digit_target + 14 digits
+    at s = -n + eps, where |Gamma(s)| is about 1/(n! eps), by a few elsewhere
+    left of 1/2 (r = 2 at -3.001, where |Gamma(s)| is 166 and peak -4.3).
+    The quadrature runs at D + 14 digits, s rounded to them."""
     c = M - mpf(1) / 2
     re_s = float(mp.re(s))
     im_s = float(mp.im(s))
@@ -870,30 +871,6 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
             "or real s with Re(s) <= 21), where its error claim fails; use method=\"direct\""
         )
     prec = working_digits()
-    # removable singularities: every integer s collides with a pole of some
-    # factor of the formula (Gamma(1-s) and zeta(s-k) at positive integers;
-    # Gamma(2s-1), zeta(2s+k) and the rising-factorial zeros at the rest), so
-    # an integer s is evaluated at s + 10^-(prec/2 + 2) instead.  Only at a
-    # positive integer do two poles cancel, Gamma(1-s)'s against zeta(s-k)'s
-    # at k = s - 1: the first term and the finite part reach 10^(prec/2)
-    # (1.6e32 at s = 1, 60 digits), so the finite part takes prec/2 + 9 more
-    # digits.  At s = 0, -1, -2, ... the poles only multiply
-    # (Gamma(2s-1)/Gamma(s) is a ratio of two, and (s)_k zeta(2s+k) at
-    # k = 1 - 2s is eps/(2 eps)), both parts stay under 1.1e-4 at s = -1..-5,
-    # and the finite part needs only the digits that hold s + eps: at them
-    # s + eps, 2s + k and s + k are exact.  An input s within
-    # _COLLISION_NEIGHBORHOOD of an integer but not on it keeps its own bits,
-    # which rounding in 2s + k next to zeta's pole would cost
-    # -log10(distance) digits, so it takes -log10(distance) + 6 more: holding
-    # s alone left -2 + 1e-30 at 60 digits 5.9e-21 off against a claim of 1e-33
-    nearest = int(mp.nint(mp.re(s0)))
-    dist = abs(s0 - nearest)
-    eps = mpf(10) ** (-(prec // 2 + 2)) if dist == 0 else mpf(0)
-    bump = hold = 0
-    if eps and nearest <= 0:
-        hold = prec // 2 + 6 + len(str(-nearest))
-    elif dist < _COLLISION_NEIGHBORHOOD:
-        bump = prec // 2 + 9 if eps else int(-mp.log10(dist)) + 6
     re_s = float(mp.re(s0))
     if M is None:
         M = _auto_M(re_s)
@@ -902,7 +879,26 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
     # rounding, (1 + big) 10^-(finite_dps - 12) below, stays >= 8 orders under
     # the quadrature's 10^-(digit_target + 4)
     guard = max(0, int(2 * math.log10(abs(complex(s0)) + 2)))
-    finite_dps = max(hold, digit_target + 24 + bump + guard)
+    finite_dps = digit_target + 24 + guard
+    # removable singularities: every integer s collides with a pole of some
+    # factor of the formula (Gamma(1-s) and zeta(s-k) at positive integers;
+    # Gamma(2s-1), zeta(2s+k) and the rising-factorial zeros at the rest), so
+    # an integer s is evaluated at s + eps, eps = 10^(10 - finite_dps): two
+    # decades under the rounding allowance, and held by finite_dps digits.
+    # Where two poles cancel, the parts reach 1/offset and the finite part
+    # takes -log10(offset) + 5 more digits: at a positive integer, Gamma(1-s)
+    # against zeta(s-k) at k = s - 1 (1.6e34 at s = 1, 60 digits), the offset
+    # is eps; an input within _COLLISION_NEIGHBORHOOD of any integer keeps its
+    # own bits, which 2s + k next to zeta's pole would round away (holding s
+    # alone left -2 + 1e-30 at 60 digits 5.9e-21 off against a claim of
+    # 1e-33), and its offset is its distance.  At s = 0, -1, -2, ... the poles
+    # only multiply (Gamma(2s-1)/Gamma(s) is a ratio of two, and
+    # (s)_k zeta(2s+k) at k = 1 - 2s is eps/(2 eps)), and nothing is added
+    nearest = int(mp.nint(mp.re(s0)))
+    dist = abs(s0 - nearest)
+    eps = mpf(10) ** (10 - finite_dps) if dist == 0 else 0
+    if 0 < dist < _COLLISION_NEIGHBORHOOD or (eps and nearest > 0):
+        finite_dps += int(-mp.log10(eps or dist)) + 5
     with mp.workdps(finite_dps):
         s_ev = s0 + eps if eps else s0  # the input's bits, even below its precision
         # before any line is built: |Gamma(s)| sizes the quadrature
@@ -939,7 +935,10 @@ def _continued_result(s0, M: int | None) -> OmegaResult:
             integral_est / abs(gamma_s)
             + (1 + big) * mpf(10) ** (-(finite_dps - 12))
         )
-    return OmegaResult(s=s0, s_evaluated=s_ev, value=+value, method="mb", est_error=+est)
+    value = +value
+    # the rounding of the returned value: half an ulp
+    est += abs(value) * mpf(2) ** -mp.prec
+    return OmegaResult(s=s0, s_evaluated=s_ev, value=value, method="mb", est_error=+est)
 
 
 # -- dispatcher and friends -------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -356,6 +357,21 @@ def test_the_cli_runs_as_a_module(argv, status):
         timeout=60,
     )
     assert done.returncode == status, done.stderr
+
+
+def test_residual_refuses_an_eta_past_the_least_term():
+    # the sum of 10^6 nu_m that this eta asks for did not return
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "su3asym.cli", "residual", "--z", "0.1", "--eta", "1e6"],
+        env=_package_env(),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: eta = 1000000.0 would sum"), done.stderr
 
 
 def test_residual_bad_z(capsys):

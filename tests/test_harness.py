@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -126,6 +128,21 @@ def test_asymptotic_log_G_eta_domain():
             asymptotic_log_G(z, bad)
     # valid etas on either side of a half-integer give the same truncation
     assert abs(asymptotic_log_G(z, mpf("1.2")) - asymptotic_log_G(z, mpf("1.4"))) == 0
+
+
+def test_asymptotic_log_G_refuses_an_eta_past_the_least_term():
+    # |nu_m z^m| is least near m* = A |z|^(-1/3)/3 - 1, 15.6 at z = 0.1; a sum
+    # of 10^6 nu_m did not return, and one of 1000 took 4.5 s
+    for eta in (mpf("1000.25"), mpf("1e6")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="eta = "):
+            asymptotic_log_G(mpf("0.1"), eta)
+        assert time.perf_counter() - start < 0.1
+    # the etas in use stay: 2 m* + 10 is 41.3 at z = 0.1 and 74.6 at 0.0125
+    asymptotic_log_G(mpf("0.1"), mpf("42.25"))
+    asymptotic_log_G(mpf("0.0125"), mpf("20.25"))
+    with pytest.raises(ValueError, match="eta = 43.25 would sum"):
+        asymptotic_log_G(mpf("0.1"), mpf("43.25"))
 
 
 def test_asymptotic_log_G_cone_guard():

@@ -261,7 +261,7 @@ def test_mb_finite_part_runs_at_its_error_budget(monkeypatch, s, bump):
     # rows zeta(2s + k) and zeta(s - k) run 2 digits above that, so that the
     # kernel's target 10^-(dps - 10) stays under the finite part's rounding.
     # The bump pays for the cancellation of two poles, which only a positive
-    # integer has (at s = 1, |first| = |finite_sum| = 1.6e32)
+    # integer has (at s = 1, |first| = |finite_sum| = 1.6e34)
     mp.dps = 60
     seen = []
     lines = []
@@ -308,7 +308,7 @@ def test_mb_point_calls_no_pointwise_zeta(monkeypatch, s):
     assert args == [], args
 
 
-NEXT_TO_AN_INTEGER = [("0", 30), ("0", 60), ("0", 100), ("0", 150), ("1e-40", 100), ("-2", 100)]
+NEXT_TO_AN_INTEGER = [("0", 30), ("0", 60), ("0", 100), ("0", 150), ("1e-40", 100), ("1e-40", 30), ("-2", 100)]
 NEXT_TO_AN_INTEGER += [(n, dps) for n in ("-1", "-2", "-5") for dps in (30, 60, 150)]
 NEXT_TO_AN_INTEGER += [("-1+1e-50", 60), ("-2+1e-30", 60), ("-2+1e-70", 100)]
 
@@ -319,11 +319,12 @@ def test_mb_error_claim_holds_next_to_an_integer(s, dps):
     # first term's Gamma(2s-1) are O(1) values of factors within 2 eps of a
     # pole; an argument rounded in absolute terms (1 + 2 eps, -1 + 2 eps)
     # put omega(0) at 60 digits 1.2e-54 off against a claim of 1e-56.  At
-    # s = -n the finite part runs only at the digits that hold -n + eps:
-    # at 150 digits D + 24 = 74 of them rounded -2 + 10^-77 to -2.  An input
-    # s = -n + delta keeps its own bits: at D + 24 digits -2 + 1e-30 (60
-    # digits) came out 5.9e-21 off against a claim of 1e-33, and -1 + 1e-50
-    # raised ZeroDivisionError
+    # s = -n the finite part runs at its base digits, which hold -n + eps,
+    # eps = 10^(10 - base).  An input s = -n + delta keeps its own bits: at
+    # D + 24 digits -2 + 1e-30 (60 digits) came out 5.9e-21 off against a
+    # claim of 1e-33, and -1 + 1e-50 raised ZeroDivisionError.  omega(1e-40)
+    # at 30 digits is formed at 79 digits and returned at 30, 1.6e-32 away,
+    # which only the rounding of the returned value covers
     mp.dps = dps
     s = sum(mpf(term) for term in s.split("+"))
     res = omega_result(s, method="mb")
@@ -335,6 +336,21 @@ def test_mb_error_claim_holds_next_to_an_integer(s, dps):
         f"s={s}, dps={dps}: |value - rerun| = {mp.nstr(err, 3)} exceeds "
         f"est_error {mp.nstr(res.est_error, 3)}"
     )
+
+
+@pytest.mark.parametrize("dps", [30, 60, 150, 300])
+def test_mb_claim_at_an_integer_covers_the_true_value(dps):
+    # mb evaluates an integer s at s + eps, and its claim is for that point;
+    # eps = 10^(10 - base) sits two decades under the finite part's rounding
+    # allowance, so |omega'(s)| eps stays inside the claim while |omega'| is
+    # up to about 100 (1 + big): at -9, where |omega'| is 44, the value is
+    # 0.44 of its claim off the truth, at every precision
+    mp.dps = dps
+    truths = [(0, mpf(1) / 3), (1, 2 * mp.zeta(3))] + [(-n, mpf(0)) for n in range(1, 11)]
+    for s, truth in truths:
+        res = omega_result(s, method="mb")
+        err = abs(res.value - truth)
+        assert err <= res.est_error, (s, mp.nstr(err, 3), mp.nstr(res.est_error, 3))
 
 
 # -- the direct route's tail integrals and its error claim ---------------------
@@ -1211,10 +1227,11 @@ def test_mb_contour_lines_stay_short(monkeypatch):
 
 def test_mb_contour_at_a_trivial_zero_runs_short_and_low(monkeypatch):
     # T enters omega as T / Gamma(s), and |Gamma(-3 + eps)| is about
-    # 10^(dps/2 + 2) / 6, so the quadrature's target falls to its floor: one
-    # line of at most 20 nodes at 18 digits, where the full target took 42
-    # nodes at 34 digits (dps 60) and 152 at 64 (dps 150).  Away from the integers
-    # |Gamma(s)| hides nothing and the line keeps its length
+    # 1/(6 eps), 10^35 / 6 at 60 digits, so the quadrature's target falls to
+    # its floor: one line of at most 20 nodes at 18 digits, where the full
+    # target took 42 nodes at 34 digits (dps 60) and 152 at 64 (dps 150).
+    # Away from the integers |Gamma(s)| hides nothing and the line keeps its
+    # length
     nodes = []
 
     def counting_gamma_line(a0, h, K):
