@@ -66,9 +66,13 @@ Two independent evaluation routes are provided and cross-checked:
       Res_p / Gamma(s):   +F        -F       -t_k             +t_k
 
   The finite part carries t_k for k < M + 7, so every pole within 6.5 of
-  the line is corrected, and the step is sized for a pole-free strip of
-  half-width 0.9 x 6.5: h = min(0.5, 2 pi 5.85 / (ln 10 (D + 4))) for the
-  quadrature target 10^-(D+4), the cap 0.5 reached up to 81 digits.
+  the line is corrected, and the step (_quad_step) is sized for the
+  pole-free strip of half-width 0.9 x 6.5 = 5.85 this leaves, from the
+  integrand's Stirling size on the real axis at the strip's right edge,
+  where Gamma(s+z) grows: at 60 digits it is 0.61 up to Re s = 2.3, the
+  floor 0.5 from Re s = 7.5, and 1.6 at s = 0, -1, -2, ..., whose target
+  is relaxed (below); from 81 digits up it is 2 pi 5.85 / (ln 10 (D + 4))
+  for the quadrature target 10^-(D+4), 0.30 at 150.
 
   The nodes below the real axis are those above it at conj s, reflected:
   f(c - i k h; s) = conj f(c + i k h; conj s) (Schwarz), so a real s needs
@@ -114,9 +118,12 @@ quadrature sum T enters omega as T / Gamma(s), so where |Gamma(s)| exceeds
 both 1 and the integrand's peak Stirling size, mostly next to s = 0, -1,
 -2, ..., the quadrature's own target falls by as many digits, to no less
 than 4; it runs at its target + 14 digits (18 at s = 0, -1, -2, ..., over
-14-16 nodes).  The finite part runs at D + 24 digits plus 2 log10(|s| + 2)
-guard digits, so that its rounding stays at least 8 orders below the
-quadrature's, and its two zeta rows 2 digits above that, so that the
+5-6 nodes), plus the digits of the integrand's real-axis peak where they
+are positive (from about Re s = 3), as its rounding is relative to a sum
+that reaches 1e5-1e10 right of Re s = 9 before it cancels.  The finite
+part runs at D + 24 digits plus 2 log10(|s| + 2) guard digits, so that
+its rounding stays at least 8 orders below the quadrature's, and its two
+zeta rows 2 digits above that, so that the
 kernel's target 10^-(digits - 10) stays under the finite part's rounding
 allowance.  An integer s is evaluated at s + 10^(10 - digits), two decades
 under that allowance.  Where two poles cancel, at a positive integer and at
@@ -141,6 +148,7 @@ from dataclasses import dataclass
 from operator import add, mul
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, fzero, mpf_shift, to_int
 
 from .precision import working_digits
 from .special_functions import (
@@ -178,9 +186,10 @@ _ZETA_CUTOFF_MAX = 5000
 # Continuation: the least number of Bernoulli corrections in the Euler-Maclaurin
 # zeta line; higher precisions and lines far left take more (see _zeta_line).
 _EM_DEPTH = 13
-# Continuation: trapezoid step cap, and the band of Gamma(-z) poles right of the
+# Continuation: trapezoid step floor, and the band of Gamma(-z) poles right of the
 # line that are corrected; the step is sized for the pole-free strip this leaves,
-# of half-width 0.9 x (_POLE_BAND - 1/2).  A cap of 0.7 puts omega(12.3) at
+# of half-width 0.9 x (_POLE_BAND - 1/2), and keeps the floor where the strip's
+# edge is loud (see _quad_step).  A fixed step of 0.7 put omega(12.3) at
 # 60 digits 48 times off its claim.
 _QUAD_STEP = 0.5
 _POLE_BAND = 7
@@ -506,15 +515,17 @@ def _fix(x, W):
     rounded to the nearest integer, exactly at any working precision."""
 
     def nearest(v):
-        t = int(mp.ldexp(v, W + 1))  # 2 v 2^W truncated toward zero, exactly
+        t = to_int(mpf_shift(v, W + 1))  # 2 v 2^W truncated toward zero, exactly
         return (t + 1) >> 1 if t >= 0 else -((1 - t) >> 1)
 
-    return nearest(mp.re(x)), nearest(mp.im(x))
+    re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    return nearest(re), nearest(im)
 
 
 def _unfix(re, im, W):
     """The mpc re 2^-W + i im 2^-W at the working precision."""
-    return mpc(mp.ldexp(re, -W), mp.ldexp(im, -W))
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpc((from_man_exp(re, -W, prec, rnd), from_man_exp(im, -W, prec, rnd)))
 
 
 def _power_tables(xs, N, W):
@@ -777,6 +788,22 @@ def _trapezoid(lines, log_size, h, digit_target):
     return value, est + (K + 1) * mpf(10) ** (-(mp.dps - 2))
 
 
+def _quad_step(digit_target, growth):
+    """The continuation's trapezoid step for the quadrature target
+    10^-(D+4), D = digit_target, on a pole-free strip of half-width
+    a = 0.9 (_POLE_BAND - 1/2) about the line (Trefethen and Weideman 2014,
+    section 5: the error is about the integrand's size on the strip's edge
+    times e^(-2 pi a/h)).  growth(a) is ln of the integrand's size on the
+    real axis at the strip's right edge, where Gamma(s+z) grows, without the
+    height factor that the edge shares with the line; the step is
+    2 pi a/((D + 6) ln 10 + max(0, growth)), held between _QUAD_STEP, kept
+    where the edge is loud, and the edge-blind 2 pi a/((D + 4) ln 10)."""
+    a = 0.9 * (_POLE_BAND - 0.5)
+    h1 = 2 * math.pi * a / (math.log(10) * (digit_target + 4))
+    h_edge = 2 * math.pi * a / (math.log(10) * (digit_target + 6) + max(0.0, growth(a)))
+    return min(h1, max(_QUAD_STEP, h_edge))
+
+
 def _mb_integral(s, M: int, digit_target: int, log10_gamma: float):
     """The continuation's integral on the line z = c + i t, c = M - 1/2, by
     _trapezoid: (T, est, h) for f(z) = Gamma(s+z) Gamma(-z) zeta(2s+z)
@@ -791,14 +818,20 @@ def _mb_integral(s, M: int, digit_target: int, log10_gamma: float):
     r = floor(log10_gamma - max(0, peak)) where that is positive, to no less
     than _QUAD_TARGET_MIN; peak is log10 of the integrand's Stirling size at
     its largest.  Divided by |Gamma(s)|, the claim 10^-(D+4) stays at most
-    10^-(digit_target+4), and the rounding of T, about
-    |T| 10^-(D+14) <= 10^(max(0, peak) - D - 14), under 10^-(digit_target+14).
-    Where T is large peak keeps r at 0: right of Re s = 9, T / Gamma(s)
-    reaches 1e5-1e10 and cancels against the finite part.  So r > 0 where
-    |Gamma(s)| exceeds both 1 and 10^peak: by about digit_target + 14 digits
-    at s = -n + eps, where |Gamma(s)| is about 1/(n! eps), by a few elsewhere
-    left of 1/2 (r = 2 at -3.001, where |Gamma(s)| is 166 and peak -4.3).
-    The quadrature runs at D + 14 digits, s rounded to them."""
+    10^-(digit_target+4).  Where T is large peak keeps r at 0: right of
+    Re s = 9, T / Gamma(s) reaches 1e5-1e10 and cancels against the finite
+    part.  So r > 0 where |Gamma(s)| exceeds both 1 and 10^peak: by about
+    digit_target + 14 digits at s = -n + eps, where |Gamma(s)| is about
+    1/(n! eps), by a few elsewhere left of 1/2 (r = 2 at -3.001, where
+    |Gamma(s)| is 166 and peak -4.3).
+
+    The quadrature runs at D + 14 digits plus the digits of its real-axis
+    peak, max(0, floor(peak - pi |Im s| / (2 ln 10))), s rounded to them:
+    T's rounding is relative to its size, and this keeps it near 10^-(D+14)
+    in absolute terms (at D + 14 alone omega(12) at 30 digits was 62 times
+    its claim off the direct route).  The step comes from _quad_step, with
+    the integrand's size at the strip's right edge, log_size taking the
+    abscissa as a parameter."""
     c = M - mpf(1) / 2
     re_s = float(mp.re(s))
     im_s = float(mp.im(s))
@@ -818,7 +851,7 @@ def _mb_integral(s, M: int, digit_target: int, log10_gamma: float):
     # 2 pi (2 pi)^(a-M) t^(M-1) e^(-pi t + pi |Im s|/2)
     x = M - 0.5
 
-    def log_size(t):
+    def log_size(t, x=x):
         return math.fsum(
             sign * ((u - 0.5) * math.log(math.hypot(u, t)) - t * math.atan2(t, u) - u)
             for sign, u in ((1, re_s + x), (1, 1 - re_s + x), (-1, 1 + x))
@@ -829,9 +862,13 @@ def _mb_integral(s, M: int, digit_target: int, log10_gamma: float):
     peak = log_size(0.0) / math.log(10)
     relax = max(0, math.floor(log10_gamma - max(0.0, peak)))
     digit_target = max(_QUAD_TARGET_MIN, digit_target - relax)
-    half_width = 0.9 * (_POLE_BAND - 0.5)
-    h = mpf(min(_QUAD_STEP, 2 * math.pi * half_width / (math.log(10) * (digit_target + 4))))
-    with mp.workdps(digit_target + 14):
+    # the real-axis growth at abscissa x + a; the height factor e^(pi |Im s|/2)
+    # is common to every abscissa
+    lift = math.pi * abs(im_s) / 2
+    h = mpf(_quad_step(digit_target, lambda a: log_size(0.0, x + a) - lift))
+    # T's rounding is relative: the digits of its real-axis peak come on top
+    quad_dps = digit_target + 14 + max(0, math.floor(peak - lift / math.log(10)))
+    with mp.workdps(quad_dps):
         s = +s
         halves = [s] if mp.im(s) == 0 else [s, mp.conj(s)]  # exactly: a tiny Im s is not real
         s_up = s if im_s >= 0 else mp.conj(s)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 from mpmath import mp, mpf
 
+from su3asym import witten_zeta
 from su3asym.precision import working_digits
 from su3asym.saddle_expansion import _check_saddle_order, _saddle_series_raw, constants
 from su3asym.series import PowerSeries
@@ -22,6 +23,21 @@ def _restore_precision():
         yield
     finally:
         mp.dps = saved
+
+
+@pytest.fixture
+def mb_lines(monkeypatch):
+    """(nodes, digits) of every Gamma(s + z) line that the Mellin-Barnes
+    route builds, one per contour half-line, in the order built."""
+    lines = []
+    gamma_line = witten_zeta._gamma_line
+
+    def counting_gamma_line(a0, h, K):
+        lines.append((K + 1, mp.dps))
+        return gamma_line(a0, h, K)
+
+    monkeypatch.setattr(witten_zeta, "_gamma_line", counting_gamma_line)
+    return lines
 
 
 def _saddle_F(g: PowerSeries, x: PowerSeries, X, Y) -> PowerSeries:

@@ -120,11 +120,12 @@ def test_omega_refused_by_the_direct_route_is_an_error(capsys, re_s, im_s, refus
 
 def test_omega_refused_by_the_continuation_is_an_error(capsys):
     # auto takes mb below Re(s) = 1.1; at this height its zeta lines would
-    # need a cutoff far past the cap, and about 2 10^8 contour nodes
+    # need a cutoff far past the cap, and about 2 10^8 contour nodes.  The
+    # message names the contour step, sized from the pole-free strip's edge
     rc, out, err = run(capsys, "omega", "--re", "0.8", "--im", "1e8")
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: the zeta row from (3.1 + 2.0e+8j) in steps of (0.0 + 0.5j)")
+    assert err.startswith("error: the zeta row from (3.1 + 2.0e+8j) in steps of (0.0 + 0.61396936j)")
     assert "cutoff" in err
 
 
